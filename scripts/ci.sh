@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI pipeline: configure, build, unit tests, aidelint over every app,
-# clang-tidy (when installed), and an ASan/UBSan test job.
+# CI pipeline: configure, build, unit tests, aidelint over every app, the
+# paper-output golden guard, the perfbench self-tests, clang-tidy (when
+# installed), and an ASan/UBSan test job.
 #
 # Environment knobs:
 #   AIDE_CI_SKIP_SANITIZE=1   skip the sanitizer job (slowest stage)
@@ -30,6 +31,12 @@ step "aideverify (effect inference + metadata audit + batch-safety proofs)"
 
 step "lint suite (ctest -L lint: inference, audit rules, golden CLI output)"
 ctest --test-dir build-ci --output-on-failure -L lint -j "$JOBS"
+
+step "paper golden (ctest -L golden: fig5 DOTs + fig5/6/8/10 stdout byte-identical)"
+ctest --test-dir build-ci --output-on-failure -L golden
+
+step "perfbench self-tests (reduced-scale end-to-end benchmark suite)"
+python3 -m unittest perfbench/test_perfbench.py
 
 step "graph hot-path smoke (monitor throughput + MINCUT parity)"
 ./build-ci/bench/bench_graph_hotpath --smoke

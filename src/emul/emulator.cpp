@@ -1,6 +1,7 @@
 #include "emul/emulator.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 
 #include "common/log.hpp"
@@ -154,6 +155,7 @@ void Emulator::begin(const Trace& trace) {
 
   trace_ = &trace;
   event_ix_ = 0;
+  aux_ix_ = 0;
   last_event_t_ = 0;
   result_ = EmulationResult{};
   result_.base_time = trace.duration();
@@ -167,31 +169,39 @@ void Emulator::begin(const Trace& trace) {
 
 void Emulator::replay_event(const TraceEvent& e) {
   last_event_t_ = e.t;
+  const ObjectId obj_a = trace_->objects[e.obj_a];
+  const ObjectId obj_b = trace_->objects[e.obj_b];
+  // Events replay in order, so the aux side table is read with a cursor.
+  std::int64_t aux1 = 0;
+  if ((e.flags & kFlagAux) != 0) {
+    assert(trace_->aux[aux_ix_].event == event_ix_);
+    aux1 = trace_->aux[aux_ix_++].aux1;
+  }
   switch (e.type) {
     case TraceEventType::alloc:
-      monitor_->on_alloc(kEmulatedClient, e.obj_a, e.cls_a, e.bytes, e.t);
+      monitor_->on_alloc(kEmulatedClient, obj_a, e.cls_a, e.bytes, e.t);
       live_bytes_ += e.bytes;
       alloc_since_gc_ += e.bytes;
       break;
 
     case TraceEventType::free_obj:
-      monitor_->on_free(kEmulatedClient, e.obj_a, e.cls_a, e.bytes, e.t);
+      monitor_->on_free(kEmulatedClient, obj_a, e.cls_a, e.bytes, e.t);
       live_bytes_ -= e.bytes;
       freed_since_gc_ += e.bytes;
       break;
 
     case TraceEventType::resize:
-      monitor_->on_resize(kEmulatedClient, e.obj_a, e.cls_a, e.aux1);
-      live_bytes_ += e.aux1;
+      monitor_->on_resize(kEmulatedClient, obj_a, e.cls_a, aux1);
+      live_bytes_ += aux1;
       break;
 
     case TraceEventType::method_enter:
       break;
 
     case TraceEventType::method_exit: {
-      monitor_->on_method_exit(kEmulatedClient, e.cls_a, e.obj_a, e.method,
+      monitor_->on_method_exit(kEmulatedClient, e.cls_a, obj_a, e.method,
                                e.bytes, e.t);
-      const auto comp = monitor_->component_of(e.cls_a, e.obj_a);
+      const auto comp = monitor_->component_of(e.cls_a, obj_a);
       const int p = placement_of(comp);
       const bool on_surrogate = p >= 1;
       const double speed = on_surrogate ? config_.surrogate_speedup : 1.0;
@@ -212,7 +222,7 @@ void Emulator::replay_event(const TraceEvent& e) {
       const bool is_static = (e.flags & kFlagStatic) != 0;
       const bool is_stateless = (e.flags & kFlagStateless) != 0;
 
-      const auto from = monitor_->component_of(e.cls_a, e.obj_a);
+      const auto from = monitor_->component_of(e.cls_a, obj_a);
       const int from_p = placement_of(from);
       int to_p;
       if (is_native) {
@@ -224,7 +234,7 @@ void Emulator::replay_event(const TraceEvent& e) {
         // Managed statics run on the invoking VM.
         to_p = from_p;
       } else {
-        to_p = placement_of(monitor_->component_of(e.cls_b, e.obj_b));
+        to_p = placement_of(monitor_->component_of(e.cls_b, obj_b));
       }
       const bool remote = from_p != to_p;
 
@@ -246,9 +256,9 @@ void Emulator::replay_event(const TraceEvent& e) {
       vm::InvokeEvent ev;
       ev.vm = kEmulatedClient;
       ev.caller_cls = e.cls_a;
-      ev.caller_obj = e.obj_a;
+      ev.caller_obj = obj_a;
       ev.callee_cls = e.cls_b;
-      ev.callee_obj = e.obj_b;
+      ev.callee_obj = obj_b;
       ev.method = e.method;
       ev.is_native = is_native;
       ev.is_static = is_static;
@@ -262,12 +272,12 @@ void Emulator::replay_event(const TraceEvent& e) {
 
     case TraceEventType::access: {
       const bool is_static = (e.flags & kFlagStatic) != 0;
-      const auto from = monitor_->component_of(e.cls_a, e.obj_a);
+      const auto from = monitor_->component_of(e.cls_a, obj_a);
       const int from_p = placement_of(from);
       // Static data lives on the client; object data follows placement.
       const int to_p =
           is_static ? 0
-                    : placement_of(monitor_->component_of(e.cls_b, e.obj_b));
+                    : placement_of(monitor_->component_of(e.cls_b, obj_b));
       const bool remote = from_p != to_p;
 
       result_.total_accesses += 1;
@@ -285,9 +295,9 @@ void Emulator::replay_event(const TraceEvent& e) {
       vm::AccessEvent ev;
       ev.vm = kEmulatedClient;
       ev.from_cls = e.cls_a;
-      ev.from_obj = e.obj_a;
+      ev.from_obj = obj_a;
       ev.to_cls = e.cls_b;
-      ev.to_obj = e.obj_b;
+      ev.to_obj = obj_b;
       ev.is_write = (e.flags & kFlagWrite) != 0;
       ev.is_static = is_static;
       ev.remote = remote;

@@ -241,6 +241,7 @@ class Emulator {
   // Resumable-replay state (valid between begin() and finish()).
   const Trace* trace_ = nullptr;
   std::size_t event_ix_ = 0;
+  std::size_t aux_ix_ = 0;  // next entry of trace_->aux
   SimTime last_event_t_ = 0;
   EmulationResult result_;
   SimDuration compute_raw_ = 0;     // self-time as recorded (client speed)

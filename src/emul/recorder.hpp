@@ -16,11 +16,17 @@ class TraceRecorder : public vm::VmHooks {
   TraceRecorder() = default;
 
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
-  Trace take() noexcept { return std::move(trace_); }
-  void clear() { trace_.events.clear(); }
+  // Hands over the recorded trace without its interning index.
+  Trace take() noexcept {
+    Trace out = std::move(trace_);
+    trace_.clear();
+    out.drop_index();
+    return out;
+  }
+  void clear() noexcept { trace_.clear(); }
 
   void on_invoke(const vm::InvokeEvent& ev) override {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::invoke;
     e.t = ev.t;
     e.cls_a = ev.caller_cls;
@@ -32,11 +38,11 @@ class TraceRecorder : public vm::VmHooks {
     if (ev.is_native) e.flags |= kFlagNative;
     if (ev.is_static) e.flags |= kFlagStatic;
     if (ev.is_stateless) e.flags |= kFlagStateless;
-    trace_.events.push_back(e);
+    trace_.append(e);
   }
 
   void on_access(const vm::AccessEvent& ev) override {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::access;
     e.t = ev.t;
     e.cls_a = ev.from_cls;
@@ -46,73 +52,73 @@ class TraceRecorder : public vm::VmHooks {
     e.bytes = static_cast<std::int64_t>(ev.bytes);
     if (ev.is_write) e.flags |= kFlagWrite;
     if (ev.is_static) e.flags |= kFlagStatic;
-    trace_.events.push_back(e);
+    trace_.append(e);
   }
 
   void on_method_enter(NodeId, ClassId cls, ObjectId obj, MethodId m,
                        SimTime t) override {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::method_enter;
     e.t = t;
     e.cls_a = cls;
     e.obj_a = obj;
     e.method = m;
-    trace_.events.push_back(e);
+    trace_.append(e);
   }
 
   void on_method_exit(NodeId, ClassId cls, ObjectId obj, MethodId m,
                       SimDuration self_time, SimTime t) override {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::method_exit;
     e.t = t;
     e.cls_a = cls;
     e.obj_a = obj;
     e.method = m;
     e.bytes = self_time;
-    trace_.events.push_back(e);
+    trace_.append(e);
   }
 
   void on_alloc(NodeId, ObjectId obj, ClassId cls, std::int64_t bytes,
                 SimTime t) override {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::alloc;
     e.t = t;
     e.cls_a = cls;
     e.obj_a = obj;
     e.bytes = bytes;
-    trace_.events.push_back(e);
+    trace_.append(e);
   }
 
   void on_resize(NodeId, ObjectId obj, ClassId cls,
                  std::int64_t delta) override {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::resize;
     e.t = trace_.events.empty() ? 0 : trace_.events.back().t;
     e.cls_a = cls;
     e.obj_a = obj;
     e.aux1 = delta;
-    trace_.events.push_back(e);
+    trace_.append(e);
   }
 
   void on_free(NodeId, ObjectId obj, ClassId cls, std::int64_t bytes,
                SimTime t) override {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::free_obj;
     e.t = t;
     e.cls_a = cls;
     e.obj_a = obj;
     e.bytes = bytes;
-    trace_.events.push_back(e);
+    trace_.append(e);
   }
 
   void on_gc(NodeId, const vm::GcReport& report) override {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::gc;
     e.t = trace_.events.empty() ? 0 : trace_.events.back().t;
     e.bytes = report.used_after;
     e.aux1 = report.capacity;
     e.aux2 = report.freed;
-    trace_.events.push_back(e);
+    trace_.append(e);
   }
 
  private:

@@ -3,6 +3,8 @@
 // array enhancements, repeated repartitioning, and the emulated heap model.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "emul/emulator.hpp"
 #include "tests/test_util.hpp"
 
@@ -22,31 +24,31 @@ class TraceBuilder {
         int_array_(reg.int_array_class()) {}
 
   TraceBuilder& alloc(ObjectId obj, ClassId cls, std::int64_t bytes) {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::alloc;
     e.t = now_;
     e.obj_a = obj;
     e.cls_a = cls;
     e.bytes = bytes;
-    trace_.events.push_back(e);
+    trace_.append(e);
     return *this;
   }
 
   TraceBuilder& free_obj(ObjectId obj, ClassId cls, std::int64_t bytes) {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::free_obj;
     e.t = now_;
     e.obj_a = obj;
     e.cls_a = cls;
     e.bytes = bytes;
-    trace_.events.push_back(e);
+    trace_.append(e);
     return *this;
   }
 
   TraceBuilder& invoke(ClassId from, ClassId to, std::uint64_t bytes,
                        std::uint8_t flags = 0,
                        ObjectId to_obj = ObjectId::invalid()) {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::invoke;
     e.t = now_;
     e.cls_a = from;
@@ -54,34 +56,34 @@ class TraceBuilder {
     e.obj_b = to_obj;
     e.bytes = static_cast<std::int64_t>(bytes);
     e.flags = flags;
-    trace_.events.push_back(e);
+    trace_.append(e);
     return *this;
   }
 
   TraceBuilder& self_time(ClassId cls, SimDuration d,
                           ObjectId obj = ObjectId::invalid()) {
     now_ += d;
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::method_exit;
     e.t = now_;
     e.cls_a = cls;
     e.obj_a = obj;
     e.bytes = d;
-    trace_.events.push_back(e);
+    trace_.append(e);
     return *this;
   }
 
   TraceBuilder& gc() {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::gc;
     e.t = now_;
-    trace_.events.push_back(e);
+    trace_.append(e);
     return *this;
   }
 
-  TraceBuilder& raw(TraceEvent e) {
+  TraceBuilder& raw(TraceRecord e) {
     e.t = now_;
-    trace_.events.push_back(e);
+    trace_.append(e);
     return *this;
   }
 
@@ -327,7 +329,7 @@ TEST(EmulatorTest, StaticAccessesRouteToClient) {
   for (int i = 0; i < 3; ++i) b.gc();
   // Offloaded counter reads static data 30 times.
   for (int i = 0; i < 30; ++i) {
-    TraceEvent e;
+    TraceRecord e;
     e.type = TraceEventType::access;
     e.cls_a = b.counter_;
     e.cls_b = calc;
@@ -373,6 +375,61 @@ TEST(EmulatorTest, DeterministicAcrossRuns) {
   const auto ra = a.run(t);
   const auto rb = b.run(t);
   EXPECT_EQ(ra.emulated_time, rb.emulated_time);
+  EXPECT_EQ(ra.remote_invocations, rb.remote_invocations);
+  EXPECT_EQ(ra.offloads.size(), rb.offloads.size());
+}
+
+// Resize deltas live in the trace's aux side table; the replay must read each
+// one at its own event even when GC events (which also carry aux payloads)
+// come between them.
+TEST(EmulatorTest, ResizeDeltasComeFromAuxTable) {
+  auto reg = make_test_registry();
+  TraceBuilder b(*reg);
+  TraceRecord gc_with_aux;
+  gc_with_aux.type = TraceEventType::gc;
+  gc_with_aux.aux1 = 1 << 20;  // capacity
+  gc_with_aux.aux2 = 4096;     // freed
+  TraceRecord grow;
+  grow.type = TraceEventType::resize;
+  grow.obj_a = ObjectId{7};
+  grow.cls_a = b.pair_;
+  grow.aux1 = 500;
+  TraceRecord shrink = grow;
+  shrink.aux1 = -200;
+  b.alloc(ObjectId{7}, b.pair_, 1000);
+  b.raw(gc_with_aux);
+  b.raw(grow);
+  b.raw(gc_with_aux);
+  b.raw(shrink);
+  b.gc();
+  ASSERT_EQ(b.trace().aux.size(), 4u);
+
+  auto cfg = base_config();
+  cfg.max_offloads = 0;
+  Emulator emu(reg, cfg);
+  const auto result = emu.run(b.trace());
+  EXPECT_EQ(result.peak_client_live, 1500);  // 1000 + 500, then - 200
+  EXPECT_EQ(emu.last_monitor().graph().find_node(
+                emu.last_monitor().component_of(b.pair_, ObjectId{7}))
+                ->mem_bytes,
+            1300);
+}
+
+TEST(EmulatorTest, CsvLoadedTraceReplaysIdentically) {
+  auto reg = make_test_registry();
+  const Trace t = memory_trace(reg);
+  std::stringstream ss;
+  t.save_csv(ss);
+  const Trace loaded = Trace::load_csv(ss);
+  Emulator a(reg, base_config());
+  Emulator b(reg, base_config());
+  const auto ra = a.run(t);
+  const auto rb = b.run(loaded);
+  ASSERT_TRUE(ra.offloaded());
+  EXPECT_EQ(ra.emulated_time, rb.emulated_time);
+  EXPECT_EQ(ra.comm_time, rb.comm_time);
+  EXPECT_EQ(ra.migration_time, rb.migration_time);
+  EXPECT_EQ(ra.peak_client_live, rb.peak_client_live);
   EXPECT_EQ(ra.remote_invocations, rb.remote_invocations);
   EXPECT_EQ(ra.offloads.size(), rb.offloads.size());
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
+#include "apps/apps.hpp"
 #include "emul/recorder.hpp"
 #include "emul/trace.hpp"
 #include "tests/test_util.hpp"
@@ -16,6 +18,8 @@ using vm::ObjectRef;
 using vm::Value;
 using vm::Vm;
 using vm::VmConfig;
+
+static_assert(sizeof(TraceEvent) <= 40);
 
 TEST(RecorderTest, CapturesAllocInvokeAccessExit) {
   auto reg = make_test_registry();
@@ -90,13 +94,15 @@ TEST(RecorderTest, GcEventsCarryHeapFigures) {
   vm.clear_driver_roots();
   vm.collect_garbage();
 
-  const auto& events = rec.trace().events;
+  const Trace& t = rec.trace();
+  const auto& events = t.events;
   auto it = std::find_if(events.begin(), events.end(), [](const TraceEvent& e) {
     return e.type == TraceEventType::gc;
   });
   ASSERT_NE(it, events.end());
-  EXPECT_EQ(it->aux1, 1 << 20);  // capacity
-  EXPECT_GT(it->aux2, 0);        // freed the pair
+  const auto i = static_cast<std::size_t>(it - events.begin());
+  EXPECT_EQ(t.at(i).aux1, 1 << 20);  // capacity
+  EXPECT_GT(t.at(i).aux2, 0);        // freed the pair
 }
 
 TEST(RecorderTest, SelfTimeRecordedInExit) {
@@ -132,7 +138,7 @@ TEST(RecorderTest, TakeAndClear) {
 
 TEST(TraceCsvTest, RoundTripPreservesEvents) {
   Trace t;
-  TraceEvent a;
+  TraceRecord a;
   a.type = TraceEventType::invoke;
   a.flags = kFlagNative | kFlagStatic;
   a.t = 123456789;
@@ -144,33 +150,33 @@ TEST(TraceCsvTest, RoundTripPreservesEvents) {
   a.bytes = -5;
   a.aux1 = 42;
   a.aux2 = -42;
-  t.events.push_back(a);
-  TraceEvent b;
+  t.append(a);
+  TraceRecord b;
   b.type = TraceEventType::gc;
   b.t = 999;
   b.bytes = 1000;
   b.aux1 = 2000;
   b.aux2 = 300;
-  t.events.push_back(b);
+  t.append(b);
 
   std::stringstream ss;
   t.save_csv(ss);
   const Trace got = Trace::load_csv(ss);
 
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got.events[0].type, a.type);
-  EXPECT_EQ(got.events[0].flags, a.flags);
-  EXPECT_EQ(got.events[0].t, a.t);
-  EXPECT_EQ(got.events[0].cls_a, a.cls_a);
-  EXPECT_EQ(got.events[0].cls_b, a.cls_b);
-  EXPECT_EQ(got.events[0].obj_a, a.obj_a);
-  EXPECT_EQ(got.events[0].obj_b, a.obj_b);
-  EXPECT_EQ(got.events[0].method, a.method);
-  EXPECT_EQ(got.events[0].bytes, a.bytes);
-  EXPECT_EQ(got.events[0].aux1, a.aux1);
-  EXPECT_EQ(got.events[0].aux2, a.aux2);
-  EXPECT_EQ(got.events[1].type, b.type);
-  EXPECT_EQ(got.events[1].bytes, 1000);
+  EXPECT_EQ(got.at(0).type, a.type);
+  EXPECT_EQ(got.at(0).flags, a.flags);
+  EXPECT_EQ(got.at(0).t, a.t);
+  EXPECT_EQ(got.at(0).cls_a, a.cls_a);
+  EXPECT_EQ(got.at(0).cls_b, a.cls_b);
+  EXPECT_EQ(got.at(0).obj_a, a.obj_a);
+  EXPECT_EQ(got.at(0).obj_b, a.obj_b);
+  EXPECT_EQ(got.at(0).method, a.method);
+  EXPECT_EQ(got.at(0).bytes, a.bytes);
+  EXPECT_EQ(got.at(0).aux1, a.aux1);
+  EXPECT_EQ(got.at(0).aux2, a.aux2);
+  EXPECT_EQ(got.at(1).type, b.type);
+  EXPECT_EQ(got.at(1).bytes, 1000);
 }
 
 TEST(TraceCsvTest, EmptyTrace) {
@@ -196,20 +202,310 @@ TEST(TraceCsvTest, RecordedTraceRoundTrips) {
   const Trace got = Trace::load_csv(ss);
   ASSERT_EQ(got.size(), rec.trace().size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got.events[i].type, rec.trace().events[i].type);
-    EXPECT_EQ(got.events[i].bytes, rec.trace().events[i].bytes);
-    EXPECT_EQ(got.events[i].obj_a, rec.trace().events[i].obj_a);
+    EXPECT_EQ(got.at(i).type, rec.trace().at(i).type);
+    EXPECT_EQ(got.at(i).bytes, rec.trace().at(i).bytes);
+    EXPECT_EQ(got.at(i).obj_a, rec.trace().at(i).obj_a);
   }
 }
 
 TEST(TraceTest, DurationIsLastEventTime) {
   Trace t;
-  TraceEvent e;
+  TraceRecord e;
   e.t = 5;
-  t.events.push_back(e);
+  t.append(e);
   e.t = 77;
-  t.events.push_back(e);
+  t.append(e);
   EXPECT_EQ(t.duration(), 77);
+}
+
+// --- packed storage ----------------------------------------------------------
+
+// Keeps every hook event as the wide record the recorder is specified to
+// store, independently of Trace's packing.
+class WideObserver : public vm::VmHooks {
+ public:
+  std::vector<TraceRecord> records;
+
+  void on_invoke(const vm::InvokeEvent& ev) override {
+    TraceRecord r;
+    r.type = TraceEventType::invoke;
+    r.t = ev.t;
+    r.cls_a = ev.caller_cls;
+    r.obj_a = ev.caller_obj;
+    r.cls_b = ev.callee_cls;
+    r.obj_b = ev.callee_obj;
+    r.method = ev.method;
+    r.bytes = static_cast<std::int64_t>(ev.bytes);
+    r.flags = static_cast<std::uint8_t>((ev.is_native ? kFlagNative : 0) |
+                                        (ev.is_static ? kFlagStatic : 0) |
+                                        (ev.is_stateless ? kFlagStateless : 0));
+    records.push_back(r);
+  }
+  void on_access(const vm::AccessEvent& ev) override {
+    TraceRecord r;
+    r.type = TraceEventType::access;
+    r.t = ev.t;
+    r.cls_a = ev.from_cls;
+    r.obj_a = ev.from_obj;
+    r.cls_b = ev.to_cls;
+    r.obj_b = ev.to_obj;
+    r.bytes = static_cast<std::int64_t>(ev.bytes);
+    r.flags = static_cast<std::uint8_t>((ev.is_write ? kFlagWrite : 0) |
+                                        (ev.is_static ? kFlagStatic : 0));
+    records.push_back(r);
+  }
+  void on_method_enter(NodeId, ClassId cls, ObjectId obj, MethodId m,
+                       SimTime t) override {
+    records.push_back(object_event(TraceEventType::method_enter, t, cls, obj));
+    records.back().method = m;
+  }
+  void on_method_exit(NodeId, ClassId cls, ObjectId obj, MethodId m,
+                      SimDuration self_time, SimTime t) override {
+    records.push_back(object_event(TraceEventType::method_exit, t, cls, obj));
+    records.back().method = m;
+    records.back().bytes = self_time;
+  }
+  void on_alloc(NodeId, ObjectId obj, ClassId cls, std::int64_t bytes,
+                SimTime t) override {
+    records.push_back(object_event(TraceEventType::alloc, t, cls, obj));
+    records.back().bytes = bytes;
+  }
+  void on_resize(NodeId, ObjectId obj, ClassId cls,
+                 std::int64_t delta) override {
+    records.push_back(object_event(TraceEventType::resize, last_t(), cls, obj));
+    records.back().aux1 = delta;
+  }
+  void on_free(NodeId, ObjectId obj, ClassId cls, std::int64_t bytes,
+               SimTime t) override {
+    records.push_back(object_event(TraceEventType::free_obj, t, cls, obj));
+    records.back().bytes = bytes;
+  }
+  void on_gc(NodeId, const vm::GcReport& report) override {
+    TraceRecord r;
+    r.type = TraceEventType::gc;
+    r.t = last_t();
+    r.bytes = report.used_after;
+    r.aux1 = report.capacity;
+    r.aux2 = report.freed;
+    records.push_back(r);
+  }
+
+ private:
+  SimTime last_t() const { return records.empty() ? 0 : records.back().t; }
+  static TraceRecord object_event(TraceEventType type, SimTime t, ClassId cls,
+                                  ObjectId obj) {
+    TraceRecord r;
+    r.type = type;
+    r.t = t;
+    r.cls_a = cls;
+    r.obj_a = obj;
+    return r;
+  }
+};
+
+TraceRecord invoke_between(ObjectId a, ObjectId b, SimTime t) {
+  TraceRecord r;
+  r.type = TraceEventType::invoke;
+  r.t = t;
+  r.cls_a = ClassId{1};
+  r.cls_b = ClassId{2};
+  r.obj_a = a;
+  r.obj_b = b;
+  r.method = MethodId{3};
+  r.bytes = 16;
+  return r;
+}
+
+Trace csv_round_trip(const Trace& t) {
+  std::stringstream ss;
+  t.save_csv(ss);
+  return Trace::load_csv(ss);
+}
+
+TEST(TracePackingTest, ForeignNodeBitsAndHighSequencesRoundTrip) {
+  const ObjectId home{(std::uint64_t{1} << 48) | 5};
+  const ObjectId home_high{(std::uint64_t{1} << 48) | (std::uint64_t{1} << 24)};
+  const ObjectId home_top{(std::uint64_t{1} << 48) | ((std::uint64_t{1} << 48) - 2)};
+  const ObjectId foreign{(std::uint64_t{2} << 48) | 5};
+  const ObjectId foreign_high{(std::uint64_t{0xFFFE} << 48) | 0x123456789AULL};
+  const ObjectId zero{0};
+  const std::vector<ObjectId> ids = {home,       home_high,    home_top,
+                                     foreign,    foreign_high, zero,
+                                     ObjectId::invalid()};
+  Trace t;
+  std::vector<TraceRecord> want;
+  SimTime now = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const ObjectId a : ids) {
+      for (const ObjectId b : ids) {
+        want.push_back(invoke_between(a, b, ++now));
+        t.append(want.back());
+      }
+    }
+  }
+  // Each distinct id is stored once, after the reserved invalid slot.
+  EXPECT_EQ(t.objects.size(), ids.size());
+  EXPECT_EQ(t.objects.front(), ObjectId::invalid());
+  ASSERT_EQ(t.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(t.at(i), want[i]);
+
+  const Trace got = csv_round_trip(t);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got.at(i), want[i]);
+}
+
+TEST(TracePackingTest, AuxValuesRoundTripOnNonGcEvents) {
+  Trace t;
+  TraceRecord access = invoke_between(ObjectId{1}, ObjectId{2}, 10);
+  access.type = TraceEventType::access;
+  access.flags = kFlagWrite;
+  access.aux1 = -7;
+  access.aux2 = std::int64_t{1} << 40;
+  TraceRecord plain = invoke_between(ObjectId{2}, ObjectId{1}, 11);
+  TraceRecord exit_only_aux2;
+  exit_only_aux2.type = TraceEventType::method_exit;
+  exit_only_aux2.t = 12;
+  exit_only_aux2.aux2 = 99;
+  for (const TraceRecord& r : {access, plain, exit_only_aux2}) t.append(r);
+
+  ASSERT_EQ(t.aux.size(), 2u);  // plain carries no aux payload
+  EXPECT_EQ(t.aux[0].event, 0u);
+  EXPECT_EQ(t.aux[1].event, 2u);
+  EXPECT_EQ(t.events[0].flags, kFlagWrite | kFlagAux);
+  EXPECT_EQ(t.events[1].flags, 0);
+  EXPECT_EQ(t.at(0), access);
+  EXPECT_EQ(t.at(1), plain);
+  EXPECT_EQ(t.at(2), exit_only_aux2);
+
+  const Trace got = csv_round_trip(t);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got.at(0), access);
+  EXPECT_EQ(got.at(1), plain);
+  EXPECT_EQ(got.at(2), exit_only_aux2);
+}
+
+TEST(TracePackingTest, ClearAndTakeLeaveNoIndexState) {
+  auto reg = make_test_registry();
+  SimClock clock;
+  Vm vm(VmConfig{}, reg, clock);
+  TraceRecorder rec;
+  vm.add_hooks(&rec);
+  vm.call(vm.new_object("Counter"), "addMany", {Value{5}});
+  EXPECT_GT(rec.trace().index_bytes(), 0u);
+
+  const Trace taken = rec.take();
+  EXPECT_FALSE(taken.empty());
+  EXPECT_EQ(taken.index_bytes(), 0u);
+  EXPECT_EQ(rec.trace().index_bytes(), 0u);
+  EXPECT_TRUE(rec.trace().objects.empty());
+  EXPECT_TRUE(rec.trace().aux.empty());
+
+  vm.call(vm.new_object("Counter"), "inc");
+  EXPECT_GT(rec.trace().index_bytes(), 0u);
+  rec.clear();
+  EXPECT_TRUE(rec.trace().empty());
+  EXPECT_TRUE(rec.trace().objects.empty());
+  EXPECT_TRUE(rec.trace().aux.empty());
+  EXPECT_EQ(rec.trace().index_bytes(), 0u);
+
+  Trace foreign;
+  foreign.append(invoke_between(ObjectId{std::uint64_t{3} << 48},
+                                ObjectId{std::uint64_t{1} << 30}, 1));
+  EXPECT_GT(foreign.index_bytes(), 0u);
+  foreign.clear();
+  EXPECT_EQ(foreign.index_bytes(), 0u);
+
+  EXPECT_EQ(csv_round_trip(taken).index_bytes(), 0u);
+}
+
+TEST(TracePackingTest, AppendAfterDroppedIndexReusesObjectTable) {
+  Trace t;
+  t.append(invoke_between(ObjectId{4}, ObjectId{(std::uint64_t{9} << 48) | 1},
+                          1));
+  const std::size_t objects = t.objects.size();
+  t.drop_index();
+  EXPECT_EQ(t.index_bytes(), 0u);
+  const TraceRecord again =
+      invoke_between(ObjectId{(std::uint64_t{9} << 48) | 1}, ObjectId{4}, 2);
+  t.append(again);
+  EXPECT_EQ(t.objects.size(), objects);
+  EXPECT_EQ(t.at(1), again);
+}
+
+// Record -> CSV -> load for every app at the disconnect sweep's reduced
+// inputs: the loaded trace decodes to exactly the records the hooks saw.
+TEST(TracePackingTest, AllAppsRecordCsvLoadMatchesObservedRecords) {
+  apps::AppParams p;
+  p.doc_bytes = 48 * 1024;
+  p.edits = 16;
+  p.scrolls = 20;
+  p.image_size = 64;
+  p.layers = 3;
+  p.filter_passes = 3;
+  p.atoms = 80;
+  p.iterations = 4;
+  p.field_size = 49;
+  p.frames = 4;
+  p.columns = 32;
+  p.trace_w = 16;
+  p.trace_h = 12;
+  p.spheres = 6;
+  for (const apps::AppInfo& app : apps::all_apps()) {
+    SCOPED_TRACE(app.name);
+    auto reg = std::make_shared<vm::ClassRegistry>();
+    app.register_classes(*reg);
+    SimClock clock;
+    VmConfig cfg;
+    cfg.heap_capacity = std::int64_t{64} << 20;
+    cfg.gc_alloc_count_threshold = 1024;  // dense GC reports: aux traffic
+    Vm vm(cfg, reg, clock);
+    WideObserver seen;
+    TraceRecorder rec;
+    vm.add_hooks(&seen);
+    vm.add_hooks(&rec);
+    app.run(vm, p);
+    const Trace recorded = rec.take();
+    ASSERT_FALSE(seen.records.empty());
+    ASSERT_EQ(recorded.size(), seen.records.size());
+
+    const Trace got = csv_round_trip(recorded);
+    ASSERT_EQ(got.size(), seen.records.size());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (!(got.at(i) == seen.records[i])) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+// --- CSV validation -----------------------------------------------------------
+
+constexpr const char* kCsvHeader =
+    "type,flags,t,cls_a,cls_b,obj_a,obj_b,method,bytes,aux1,aux2\n";
+
+TEST(TraceCsvTest, RejectsUnknownEventType) {
+  std::stringstream ok(std::string(kCsvHeader) + "7,0,1,0,0,1,2,0,5,0,0\n");
+  EXPECT_EQ(Trace::load_csv(ok).size(), 1u);
+  std::stringstream bad(std::string(kCsvHeader) + "9,0,1,0,0,1,2,0,5,0,0\n");
+  EXPECT_THROW(Trace::load_csv(bad), std::runtime_error);
+}
+
+TEST(TraceCsvTest, RejectsUndefinedFlagBits) {
+  std::stringstream ok(std::string(kCsvHeader) + "3,15,1,0,0,1,2,0,5,0,0\n");
+  EXPECT_EQ(Trace::load_csv(ok).at(0).flags, kRecordFlags);
+  std::stringstream bad(std::string(kCsvHeader) + "3,16,1,0,0,1,2,0,5,0,0\n");
+  EXPECT_THROW(Trace::load_csv(bad), std::runtime_error);
+}
+
+TEST(TraceCsvTest, RejectsAuxFlagOutsideAuxColumns) {
+  std::stringstream bad(std::string(kCsvHeader) + "7,128,1,0,0,1,2,0,5,0,0\n");
+  EXPECT_THROW(Trace::load_csv(bad), std::runtime_error);
+  // The aux columns alone set the bit on the packed event.
+  std::stringstream ok(std::string(kCsvHeader) + "7,0,1,0,0,1,2,0,5,6,7\n");
+  const Trace t = Trace::load_csv(ok);
+  EXPECT_EQ(t.events.at(0).flags, kFlagAux);
+  EXPECT_EQ(t.at(0).flags, 0);
+  EXPECT_EQ(t.at(0).aux2, 7);
 }
 
 }  // namespace
