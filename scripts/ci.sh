@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI pipeline: configure, build, unit tests, aidelint over every app, the
 # paper-output golden guard, the perfbench self-tests, clang-tidy (when
-# installed), and an ASan/UBSan test job.
+# installed), and an ASan/UBSan test job with libstdc++ bounds assertions.
 #
 # Environment knobs:
 #   AIDE_CI_SKIP_SANITIZE=1   skip the sanitizer job (slowest stage)
@@ -75,7 +75,7 @@ else
 fi
 
 if [[ "${AIDE_CI_SKIP_SANITIZE:-0}" != 1 ]]; then
-  step "ASan/UBSan job (build-asan)"
+  step "ASan/UBSan + _GLIBCXX_ASSERTIONS job (build-asan)"
   cmake -B build-asan -S . -DAIDE_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"

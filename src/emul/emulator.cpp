@@ -169,29 +169,33 @@ void Emulator::begin(const Trace& trace) {
 
 void Emulator::replay_event(const TraceEvent& e) {
   last_event_t_ = e.t;
-  const ObjectId obj_a = trace_->objects[e.obj_a];
-  const ObjectId obj_b = trace_->objects[e.obj_b];
+  const auto [obj_a, cls_a] = trace_->refs[e.a];
+  const auto [obj_b, cls_b] = trace_->refs[e.b];
+  const MethodId method = trace_->methods[e.method];
   // Events replay in order, so the aux side table is read with a cursor.
+  std::int64_t bytes = e.bytes;
   std::int64_t aux1 = 0;
   if ((e.flags & kFlagAux) != 0) {
-    assert(trace_->aux[aux_ix_].event == event_ix_);
-    aux1 = trace_->aux[aux_ix_++].aux1;
+    const TraceAux& x = trace_->aux[aux_ix_++];
+    assert(x.event == event_ix_);
+    bytes = x.bytes;
+    aux1 = x.aux1;
   }
   switch (e.type) {
     case TraceEventType::alloc:
-      monitor_->on_alloc(kEmulatedClient, obj_a, e.cls_a, e.bytes, e.t);
-      live_bytes_ += e.bytes;
-      alloc_since_gc_ += e.bytes;
+      monitor_->on_alloc(kEmulatedClient, obj_a, cls_a, bytes, e.t);
+      live_bytes_ += bytes;
+      alloc_since_gc_ += bytes;
       break;
 
     case TraceEventType::free_obj:
-      monitor_->on_free(kEmulatedClient, obj_a, e.cls_a, e.bytes, e.t);
-      live_bytes_ -= e.bytes;
-      freed_since_gc_ += e.bytes;
+      monitor_->on_free(kEmulatedClient, obj_a, cls_a, bytes, e.t);
+      live_bytes_ -= bytes;
+      freed_since_gc_ += bytes;
       break;
 
     case TraceEventType::resize:
-      monitor_->on_resize(kEmulatedClient, obj_a, e.cls_a, aux1);
+      monitor_->on_resize(kEmulatedClient, obj_a, cls_a, aux1);
       live_bytes_ += aux1;
       break;
 
@@ -199,15 +203,15 @@ void Emulator::replay_event(const TraceEvent& e) {
       break;
 
     case TraceEventType::method_exit: {
-      monitor_->on_method_exit(kEmulatedClient, e.cls_a, obj_a, e.method,
-                               e.bytes, e.t);
-      const auto comp = monitor_->component_of(e.cls_a, obj_a);
+      monitor_->on_method_exit(kEmulatedClient, cls_a, obj_a, method, bytes,
+                               e.t);
+      const auto comp = monitor_->component_of(cls_a, obj_a);
       const int p = placement_of(comp);
       const bool on_surrogate = p >= 1;
       const double speed = on_surrogate ? config_.surrogate_speedup : 1.0;
       const auto scaled =
-          static_cast<SimDuration>(static_cast<double>(e.bytes) / speed);
-      compute_raw_ += e.bytes;
+          static_cast<SimDuration>(static_cast<double>(bytes) / speed);
+      compute_raw_ += bytes;
       compute_scaled_ += scaled;
       // Surrogate-placed self-time occupies that part's surrogate CPU.
       if (on_surrogate) {
@@ -222,7 +226,7 @@ void Emulator::replay_event(const TraceEvent& e) {
       const bool is_static = (e.flags & kFlagStatic) != 0;
       const bool is_stateless = (e.flags & kFlagStateless) != 0;
 
-      const auto from = monitor_->component_of(e.cls_a, obj_a);
+      const auto from = monitor_->component_of(cls_a, obj_a);
       const int from_p = placement_of(from);
       int to_p;
       if (is_native) {
@@ -234,7 +238,7 @@ void Emulator::replay_event(const TraceEvent& e) {
         // Managed statics run on the invoking VM.
         to_p = from_p;
       } else {
-        to_p = placement_of(monitor_->component_of(e.cls_b, obj_b));
+        to_p = placement_of(monitor_->component_of(cls_b, obj_b));
       }
       const bool remote = from_p != to_p;
 
@@ -242,9 +246,9 @@ void Emulator::replay_event(const TraceEvent& e) {
       if (remote) {
         result_.remote_invocations += 1;
         if (is_native) result_.remote_native_invocations += 1;
-        result_.remote_bytes += static_cast<std::uint64_t>(e.bytes);
+        result_.remote_bytes += static_cast<std::uint64_t>(bytes);
         const SimDuration cost =
-            rpc_cost(static_cast<std::uint64_t>(e.bytes));
+            rpc_cost(static_cast<std::uint64_t>(bytes));
         // The surrogate end executes the op: the callee's part, or the
         // caller's when the callee is the client.
         const int sp = to_p >= 1 ? to_p : from_p;
@@ -255,16 +259,16 @@ void Emulator::replay_event(const TraceEvent& e) {
 
       vm::InvokeEvent ev;
       ev.vm = kEmulatedClient;
-      ev.caller_cls = e.cls_a;
+      ev.caller_cls = cls_a;
       ev.caller_obj = obj_a;
-      ev.callee_cls = e.cls_b;
+      ev.callee_cls = cls_b;
       ev.callee_obj = obj_b;
-      ev.method = e.method;
+      ev.method = method;
       ev.is_native = is_native;
       ev.is_static = is_static;
       ev.is_stateless = is_stateless;
       ev.remote = remote;
-      ev.bytes = static_cast<std::uint64_t>(e.bytes);
+      ev.bytes = static_cast<std::uint64_t>(bytes);
       ev.t = e.t;
       monitor_->on_invoke(ev);
       break;
@@ -272,20 +276,20 @@ void Emulator::replay_event(const TraceEvent& e) {
 
     case TraceEventType::access: {
       const bool is_static = (e.flags & kFlagStatic) != 0;
-      const auto from = monitor_->component_of(e.cls_a, obj_a);
+      const auto from = monitor_->component_of(cls_a, obj_a);
       const int from_p = placement_of(from);
       // Static data lives on the client; object data follows placement.
       const int to_p =
           is_static ? 0
-                    : placement_of(monitor_->component_of(e.cls_b, obj_b));
+                    : placement_of(monitor_->component_of(cls_b, obj_b));
       const bool remote = from_p != to_p;
 
       result_.total_accesses += 1;
       if (remote) {
         result_.remote_accesses += 1;
-        result_.remote_bytes += static_cast<std::uint64_t>(e.bytes);
+        result_.remote_bytes += static_cast<std::uint64_t>(bytes);
         const SimDuration cost =
-            rpc_cost(static_cast<std::uint64_t>(e.bytes));
+            rpc_cost(static_cast<std::uint64_t>(bytes));
         const int sp = to_p >= 1 ? to_p : from_p;
         charge_service(cost, ServiceKind::remote_op,
                        static_cast<std::size_t>(sp - 1));
@@ -294,14 +298,14 @@ void Emulator::replay_event(const TraceEvent& e) {
 
       vm::AccessEvent ev;
       ev.vm = kEmulatedClient;
-      ev.from_cls = e.cls_a;
+      ev.from_cls = cls_a;
       ev.from_obj = obj_a;
-      ev.to_cls = e.cls_b;
+      ev.to_cls = cls_b;
       ev.to_obj = obj_b;
       ev.is_write = (e.flags & kFlagWrite) != 0;
       ev.is_static = is_static;
       ev.remote = remote;
-      ev.bytes = static_cast<std::uint64_t>(e.bytes);
+      ev.bytes = static_cast<std::uint64_t>(bytes);
       ev.t = e.t;
       monitor_->on_access(ev);
       break;

@@ -10,54 +10,90 @@
 
 namespace aide::emul {
 
-std::uint32_t& Trace::slot_for(std::uint64_t v) {
-  const std::uint64_t node = v >> 48;
-  const std::uint64_t seq = v & kSeqMask;
-  if (home_node_ == kNoHome) home_node_ = node;
-  if (node == home_node_ && seq < kDenseLimit) {
-    if (seq >= dense_.size()) dense_.resize(seq + 1);
-    return dense_[seq];
+std::uint32_t& Trace::slot_for(const TraceRef& ref) {
+  if (!ref.obj.valid()) {
+    const std::uint32_t cls = ref.cls.value();
+    if (cls < kDenseLimit) {
+      if (cls >= statics_.size()) statics_.resize(cls + 1);
+      return statics_[cls];
+    }
+  } else {
+    const std::uint64_t v = ref.obj.value();
+    const std::uint64_t seq = v & kSeqMask;
+    if (home_node_ == kNoHome) home_node_ = v >> 48;
+    if ((v >> 48) == home_node_ && seq < kDenseLimit) {
+      if (seq >= dense_.size()) dense_.resize(seq + 1);
+      std::uint32_t& slot = dense_[seq];
+      // The first class seen for the object owns the dense slot.
+      if (slot == 0 || refs[slot].cls == ref.cls) return slot;
+    }
   }
-  return foreign_[v];
+  return others_[ref];
 }
 
 void Trace::reindex() {
-  for (; indexed_ < objects.size(); ++indexed_) {
-    const ObjectId id = objects[indexed_];
-    if (id.valid()) slot_for(id.value()) = static_cast<std::uint32_t>(indexed_);
+  for (indexed_refs_ = std::max<std::size_t>(indexed_refs_, 1);
+       indexed_refs_ < refs.size(); ++indexed_refs_) {
+    slot_for(refs[indexed_refs_]) = static_cast<std::uint32_t>(indexed_refs_);
+  }
+  for (indexed_methods_ = std::max<std::size_t>(indexed_methods_, 1);
+       indexed_methods_ < methods.size(); ++indexed_methods_) {
+    method_index_[methods[indexed_methods_].value()] =
+        static_cast<std::uint16_t>(indexed_methods_);
   }
 }
 
-std::uint32_t Trace::intern_slow(ObjectId id) {
-  reindex();  // catch up with objects stored while the index was dropped
-  std::uint32_t& slot = slot_for(id.value());
+std::uint32_t Trace::intern_slow(const TraceRef& ref) {
+  reindex();  // catch up with refs stored while the index was dropped
+  std::uint32_t& slot = slot_for(ref);
   if (slot == 0) {
-    if (objects.size() > std::numeric_limits<std::uint32_t>::max()) {
-      throw std::length_error("trace: object table full");
+    if (refs.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("trace: ref table full");
     }
-    slot = static_cast<std::uint32_t>(objects.size());
-    objects.push_back(id);
-    indexed_ = objects.size();
+    slot = static_cast<std::uint32_t>(refs.size());
+    refs.push_back(ref);
+    indexed_refs_ = refs.size();
+  }
+  return slot;
+}
+
+std::uint16_t Trace::intern_method(MethodId m) {
+  if (!m.valid()) return 0;
+  const auto it = method_index_.find(m.value());
+  if (it != method_index_.end()) return it->second;
+  reindex();
+  std::uint16_t& slot = method_index_[m.value()];
+  if (slot == 0) {
+    if (methods.size() > std::numeric_limits<std::uint16_t>::max()) {
+      method_index_.erase(m.value());
+      throw std::length_error("trace: method table full");
+    }
+    slot = static_cast<std::uint16_t>(methods.size());
+    methods.push_back(m);
+    indexed_methods_ = methods.size();
   }
   return slot;
 }
 
 TraceRecord Trace::at(std::size_t i) const {
   const TraceEvent& e = events.at(i);
+  const TraceRef& a = refs[e.a];
+  const TraceRef& b = refs[e.b];
   TraceRecord r;
   r.type = e.type;
   r.flags = static_cast<std::uint8_t>(e.flags & kRecordFlags);
   r.t = e.t;
-  r.cls_a = e.cls_a;
-  r.cls_b = e.cls_b;
-  r.obj_a = objects[e.obj_a];
-  r.obj_b = objects[e.obj_b];
-  r.method = e.method;
+  r.cls_a = a.cls;
+  r.cls_b = b.cls;
+  r.obj_a = a.obj;
+  r.obj_b = b.obj;
+  r.method = methods[e.method];
   r.bytes = e.bytes;
   if ((e.flags & kFlagAux) != 0) {
     const auto it = std::lower_bound(
         aux.begin(), aux.end(), i,
-        [](const TraceAux& a, std::size_t ix) { return a.event < ix; });
+        [](const TraceAux& x, std::size_t ix) { return x.event < ix; });
+    r.bytes = it->bytes;
     r.aux1 = it->aux1;
     r.aux2 = it->aux2;
   }
@@ -66,21 +102,26 @@ TraceRecord Trace::at(std::size_t i) const {
 
 void Trace::clear() noexcept {
   events.clear();
-  objects.clear();
+  refs.clear();
+  methods.clear();
   aux.clear();
   drop_index();
 }
 
 void Trace::drop_index() noexcept {
   std::vector<std::uint32_t>().swap(dense_);
-  std::unordered_map<std::uint64_t, std::uint32_t>().swap(foreign_);
+  std::vector<std::uint32_t>().swap(statics_);
+  decltype(others_)().swap(others_);
+  decltype(method_index_)().swap(method_index_);
   home_node_ = kNoHome;
-  indexed_ = 0;
+  indexed_refs_ = 0;
+  indexed_methods_ = 0;
 }
 
 std::size_t Trace::index_bytes() const noexcept {
-  return dense_.capacity() * sizeof(std::uint32_t) +
-         foreign_.size() * sizeof(decltype(foreign_)::value_type);
+  return (dense_.capacity() + statics_.capacity()) * sizeof(std::uint32_t) +
+         others_.size() * sizeof(decltype(others_)::value_type) +
+         method_index_.size() * sizeof(decltype(method_index_)::value_type);
 }
 
 void Trace::save_csv(std::ostream& os) const {

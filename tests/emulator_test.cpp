@@ -415,6 +415,33 @@ TEST(EmulatorTest, ResizeDeltasComeFromAuxTable) {
             1300);
 }
 
+// A method_exit self-time of 2^32 ns or more does not fit the packed event
+// and lives in the aux side table. The replay must re-scale the full 64-bit
+// value on the surrogate, never its low 32 bits.
+TEST(EmulatorTest, WideSelfTimeScalesInFullOnSurrogate) {
+  auto reg = make_test_registry();
+  const SimDuration wide = (SimDuration{1} << 32) + sim_sec(3);
+  TraceBuilder b(*reg);
+  b.alloc(ObjectId{1}, b.counter_, 64);
+  b.self_time(b.counter_, wide, ObjectId{1});
+  ASSERT_EQ(b.trace().aux.size(), 1u);
+  ASSERT_EQ(b.trace().at(1).bytes, wide);
+
+  auto cfg = base_config();
+  cfg.trigger_mode = TriggerMode::trace_fraction;
+  cfg.eval_at_fraction = 0.0;  // offload right after the alloc
+  cfg.manual_offload_classes = {"Counter"};
+  cfg.surrogate_speedup = 3.5;
+  cfg.charge_migration = false;
+  Emulator emu(reg, cfg);
+  const auto result = emu.run(b.trace());
+  ASSERT_EQ(result.offloads.size(), 1u);
+  EXPECT_EQ(result.base_time, wide);
+  EXPECT_EQ(result.comm_time, 0);
+  EXPECT_EQ(result.emulated_time,
+            static_cast<SimDuration>(static_cast<double>(wide) / 3.5));
+}
+
 TEST(EmulatorTest, CsvLoadedTraceReplaysIdentically) {
   auto reg = make_test_registry();
   const Trace t = memory_trace(reg);

@@ -2,6 +2,7 @@
 // the CSV round-trip.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,7 +20,7 @@ using vm::Value;
 using vm::Vm;
 using vm::VmConfig;
 
-static_assert(sizeof(TraceEvent) <= 40);
+static_assert(sizeof(TraceEvent) == 24);
 
 TEST(RecorderTest, CapturesAllocInvokeAccessExit) {
   auto reg = make_test_registry();
@@ -343,9 +344,10 @@ TEST(TracePackingTest, ForeignNodeBitsAndHighSequencesRoundTrip) {
       }
     }
   }
-  // Each distinct id is stored once, after the reserved invalid slot.
-  EXPECT_EQ(t.objects.size(), ids.size());
-  EXPECT_EQ(t.objects.front(), ObjectId::invalid());
+  // Each distinct (id, class) pair is stored once, after the reserved ref 0;
+  // the invalid id under each class is a static ref.
+  EXPECT_EQ(t.refs.size(), 1 + 2 * ids.size());
+  EXPECT_EQ(t.refs.front(), TraceRef{});
   ASSERT_EQ(t.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(t.at(i), want[i]);
 
@@ -397,14 +399,16 @@ TEST(TracePackingTest, ClearAndTakeLeaveNoIndexState) {
   EXPECT_FALSE(taken.empty());
   EXPECT_EQ(taken.index_bytes(), 0u);
   EXPECT_EQ(rec.trace().index_bytes(), 0u);
-  EXPECT_TRUE(rec.trace().objects.empty());
+  EXPECT_TRUE(rec.trace().refs.empty());
+  EXPECT_TRUE(rec.trace().methods.empty());
   EXPECT_TRUE(rec.trace().aux.empty());
 
   vm.call(vm.new_object("Counter"), "inc");
   EXPECT_GT(rec.trace().index_bytes(), 0u);
   rec.clear();
   EXPECT_TRUE(rec.trace().empty());
-  EXPECT_TRUE(rec.trace().objects.empty());
+  EXPECT_TRUE(rec.trace().refs.empty());
+  EXPECT_TRUE(rec.trace().methods.empty());
   EXPECT_TRUE(rec.trace().aux.empty());
   EXPECT_EQ(rec.trace().index_bytes(), 0u);
 
@@ -418,18 +422,235 @@ TEST(TracePackingTest, ClearAndTakeLeaveNoIndexState) {
   EXPECT_EQ(csv_round_trip(taken).index_bytes(), 0u);
 }
 
-TEST(TracePackingTest, AppendAfterDroppedIndexReusesObjectTable) {
+TEST(TracePackingTest, AppendAfterDroppedIndexReusesRefAndMethodTables) {
+  const ObjectId home{4};
+  const ObjectId foreign{(std::uint64_t{9} << 48) | 1};
+  TraceRecord other_class = invoke_between(home, foreign, 2);
+  other_class.cls_a = ClassId{5};  // home under a second class
+  other_class.method = MethodId{8};
+  TraceRecord static_ref = invoke_between(ObjectId::invalid(), home, 3);
+  static_ref.cls_a = ClassId{6};
+  static_ref.method = MethodId::invalid();
   Trace t;
-  t.append(invoke_between(ObjectId{4}, ObjectId{(std::uint64_t{9} << 48) | 1},
-                          1));
-  const std::size_t objects = t.objects.size();
+  for (const TraceRecord& r :
+       {invoke_between(home, foreign, 1), other_class, static_ref}) {
+    t.append(r);
+  }
+  const std::size_t refs = t.refs.size();
+  const std::size_t methods = t.methods.size();
+  EXPECT_EQ(refs, 6u);  // ref 0, (4,1), (9:1,2), (4,5), static 6, (4,2)
+  EXPECT_EQ(methods, 3u);
+
   t.drop_index();
   EXPECT_EQ(t.index_bytes(), 0u);
-  const TraceRecord again =
-      invoke_between(ObjectId{(std::uint64_t{9} << 48) | 1}, ObjectId{4}, 2);
-  t.append(again);
-  EXPECT_EQ(t.objects.size(), objects);
-  EXPECT_EQ(t.at(1), again);
+  std::vector<TraceRecord> again = {invoke_between(foreign, home, 4),
+                                    other_class, static_ref,
+                                    invoke_between(home, foreign, 5)};
+  for (TraceRecord& r : again) {
+    r.t += 10;
+    t.append(r);
+  }
+  EXPECT_GT(t.index_bytes(), 0u);
+  // Only (9:1, 1) is a new pair; every other operand and method is found in
+  // the rebuilt index.
+  EXPECT_EQ(t.refs.size(), refs + 1);
+  EXPECT_EQ(t.methods.size(), methods);
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    EXPECT_EQ(t.at(3 + i), again[i]);
+  }
+
+  // A second drop then a brand-new method and static ref: each is added
+  // once, after the rebuilt index has seen every earlier entry.
+  t.drop_index();
+  TraceRecord fresh = static_ref;
+  fresh.cls_a = ClassId{7};
+  fresh.method = MethodId{12};
+  t.append(fresh);
+  t.append(fresh);
+  t.append(static_ref);
+  EXPECT_EQ(t.refs.size(), refs + 2);
+  EXPECT_EQ(t.methods.size(), methods + 1);
+  EXPECT_EQ(t.at(t.size() - 2), fresh);
+  EXPECT_EQ(t.at(t.size() - 1), static_ref);
+}
+
+// Interning indexes beyond the object array: the static-ref and method
+// indexes count in index_bytes() and are released by drop_index(), clear()
+// and the recorder's take().
+TEST(TracePackingTest, StaticAndMethodIndexesAreBuildTimeState) {
+  TraceRecord static_only;
+  static_only.type = TraceEventType::method_enter;
+  static_only.cls_a = ClassId{3};
+  Trace statics;
+  statics.append(static_only);
+  EXPECT_GT(statics.index_bytes(), 0u);
+  statics.drop_index();
+  EXPECT_EQ(statics.index_bytes(), 0u);
+
+  TraceRecord method_only;
+  method_only.type = TraceEventType::method_enter;
+  method_only.method = MethodId{4};
+  Trace methods;
+  methods.append(method_only);
+  EXPECT_GT(methods.index_bytes(), 0u);
+  methods.clear();
+  EXPECT_EQ(methods.index_bytes(), 0u);
+  EXPECT_TRUE(methods.methods.empty());
+
+  TraceRecorder rec;
+  rec.on_method_enter(NodeId{1}, ClassId{3}, ObjectId::invalid(), MethodId{2},
+                      1);
+  EXPECT_GT(rec.trace().index_bytes(), 0u);
+  const Trace taken = rec.take();
+  EXPECT_EQ(taken.index_bytes(), 0u);
+  EXPECT_EQ(rec.trace().index_bytes(), 0u);
+  EXPECT_EQ(taken.refs.size(), 2u);
+  EXPECT_EQ(taken.methods.size(), 2u);
+  EXPECT_EQ(taken.at(0).cls_a, ClassId{3});
+  EXPECT_EQ(taken.at(0).obj_a, ObjectId::invalid());
+  EXPECT_EQ(taken.at(0).method, MethodId{2});
+}
+
+// bytes outside [0, 2^32) escape, in full, to the aux side table; values
+// inside stay on the event.
+TEST(TracePackingTest, WideAndNegativeBytesRoundTripThroughAux) {
+  constexpr std::int64_t kTwo32 = std::int64_t{1} << 32;
+  const std::vector<std::int64_t> values = {
+      0,  kTwo32 - 1, kTwo32, std::int64_t{57} * 1'000'000'000,
+      -1, -kTwo32,    std::numeric_limits<std::int64_t>::max(),
+      std::numeric_limits<std::int64_t>::min()};
+  Trace t;
+  std::vector<TraceRecord> want;
+  for (const std::int64_t v : values) {
+    TraceRecord r = invoke_between(ObjectId{1}, ObjectId{2},
+                                   static_cast<SimTime>(want.size()));
+    r.type = TraceEventType::method_exit;
+    r.bytes = v;
+    want.push_back(r);
+    t.append(r);
+  }
+  ASSERT_EQ(t.aux.size(), values.size() - 2);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const bool inline_bytes = values[i] >= 0 && values[i] < kTwo32;
+    EXPECT_EQ((t.events[i].flags & kFlagAux) != 0, !inline_bytes) << i;
+    EXPECT_EQ(t.events[i].bytes,
+              inline_bytes ? static_cast<std::uint32_t>(values[i]) : 0u);
+    EXPECT_EQ(t.at(i), want[i]);
+  }
+  const Trace got = csv_round_trip(t);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got.at(i), want[i]);
+}
+
+TEST(TracePackingTest, WideBytesEventKeepsItsAuxPayloads) {
+  TraceRecord gc;
+  gc.type = TraceEventType::gc;
+  gc.t = 5;
+  gc.bytes = std::int64_t{3} << 32;
+  gc.aux1 = std::int64_t{1} << 36;
+  gc.aux2 = -9;
+  TraceRecord narrow = gc;
+  narrow.t = 6;
+  narrow.bytes = 1000;
+  Trace t;
+  t.append(gc);
+  t.append(narrow);
+  ASSERT_EQ(t.aux.size(), 2u);  // one entry per event, bytes included
+  EXPECT_EQ(t.aux[0].bytes, gc.bytes);
+  EXPECT_EQ(t.aux[0].aux1, gc.aux1);
+  EXPECT_EQ(t.aux[0].aux2, gc.aux2);
+  EXPECT_EQ(t.at(0), gc);
+  EXPECT_EQ(t.at(1), narrow);
+  const Trace got = csv_round_trip(t);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got.at(0), gc);
+  EXPECT_EQ(got.at(1), narrow);
+}
+
+TEST(TracePackingTest, StaticRefsInternOnePerClass) {
+  Trace t;
+  std::vector<TraceRecord> want;
+  for (int round = 0; round < 2; ++round) {
+    for (std::uint32_t cls = 0; cls < 5; ++cls) {
+      TraceRecord r;
+      r.type = TraceEventType::access;
+      r.flags = kFlagStatic;
+      r.t = static_cast<SimTime>(want.size());
+      r.cls_a = ClassId{cls};
+      r.cls_b = ClassId{cls + 1};
+      r.bytes = 8;
+      want.push_back(r);
+      t.append(r);
+    }
+  }
+  // Ref 0 plus one static ref for each of classes 0..5.
+  ASSERT_EQ(t.refs.size(), 7u);
+  for (std::uint32_t i = 1; i < t.refs.size(); ++i) {
+    EXPECT_EQ(t.refs[i], (TraceRef{ObjectId::invalid(), ClassId{i - 1}}));
+  }
+  for (std::uint32_t cls = 0; cls < 5; ++cls) {
+    EXPECT_EQ(t.events[cls].a, cls + 1);
+    EXPECT_EQ(t.events[cls].b, cls + 2);
+    EXPECT_EQ(t.events[cls + 5].a, cls + 1);  // the repeat reuses the ref
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(t.at(i), want[i]);
+  const Trace got = csv_round_trip(t);
+  EXPECT_EQ(got.refs, t.refs);
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got.at(i), want[i]);
+}
+
+TEST(TracePackingTest, ObjectUnderTwoClassesGetsTwoRefs) {
+  const ObjectId home{(std::uint64_t{1} << 48) | 5};
+  const ObjectId foreign{(std::uint64_t{2} << 48) | 5};
+  Trace t;
+  std::vector<TraceRecord> want;
+  for (int round = 0; round < 2; ++round) {
+    for (const ObjectId id : {home, foreign}) {
+      for (const std::uint32_t cls : {11u, 12u}) {
+        TraceRecord r;
+        r.type = TraceEventType::alloc;
+        r.t = static_cast<SimTime>(want.size());
+        r.obj_a = id;
+        r.cls_a = ClassId{cls};
+        r.bytes = 24;
+        want.push_back(r);
+        t.append(r);
+      }
+    }
+  }
+  ASSERT_EQ(t.refs.size(), 5u);  // ref 0 and four (object, class) pairs
+  EXPECT_NE(t.events[0].a, t.events[1].a);
+  EXPECT_NE(t.events[2].a, t.events[3].a);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(t.events[i + 4].a, t.events[i].a);
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(t.at(i), want[i]);
+  const Trace got = csv_round_trip(t);
+  EXPECT_EQ(got.refs, t.refs);
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got.at(i), want[i]);
+}
+
+TEST(TracePackingTest, MethodTableOverflowThrowsLengthError) {
+  constexpr std::uint32_t kMethods = 1u << 16;
+  Trace t;
+  TraceRecord r;
+  r.type = TraceEventType::method_enter;
+  // Index 0 is MethodId::invalid(), so 2^16 - 1 distinct methods fit.
+  for (std::uint32_t m = 0; m + 1 < kMethods; ++m) {
+    r.method = MethodId{m};
+    t.append(r);
+  }
+  EXPECT_EQ(t.methods.size(), kMethods);
+  r.method = MethodId{kMethods - 1};
+  EXPECT_THROW(t.append(r), std::length_error);
+  EXPECT_EQ(t.size(), kMethods - 1);
+  EXPECT_EQ(t.methods.size(), kMethods);
+  // Known methods still append; the last stored one decodes in full.
+  r.method = MethodId{kMethods - 2};
+  t.append(r);
+  EXPECT_EQ(t.at(t.size() - 1).method, MethodId{kMethods - 2});
+  r.method = MethodId{kMethods};
+  EXPECT_THROW(t.append(r), std::length_error);
 }
 
 // Record -> CSV -> load for every app at the disconnect sweep's reduced
