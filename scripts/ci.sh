@@ -32,7 +32,7 @@ step "aideverify (effect inference + metadata audit + batch-safety proofs)"
 step "lint suite (ctest -L lint: inference, audit rules, golden CLI output)"
 ctest --test-dir build-ci --output-on-failure -L lint -j "$JOBS"
 
-step "paper golden (ctest -L golden: fig5 DOTs + fig5/6/8/10 stdout byte-identical)"
+step "paper golden (ctest -L golden: fig5 DOTs, fig5/6/8/10 stdout and fault/chaos/disconnect JSONs byte-identical)"
 ctest --test-dir build-ci --output-on-failure -L golden
 
 step "perfbench self-tests (reduced-scale end-to-end benchmark suite)"

@@ -1,7 +1,9 @@
 #include "platform/platform.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <string>
 
 #include "common/log.hpp"
 
@@ -10,6 +12,33 @@ namespace aide::platform {
 namespace {
 constexpr NodeId kClientNode{1};
 constexpr NodeId kSurrogateNode{2};
+
+// Payload of one reconnect probe (charged to the link when it delivers).
+constexpr std::uint64_t kProbeBytes = 64;
+// Re-admissions are capped per run; reconcile attempts per disconnection
+// episode, so a flappy link gets a fresh allowance each time.
+constexpr std::size_t kMaxReadmissions = 4;
+constexpr std::size_t kMaxReconcileAttempts = 16;
+// Allocation-gravity credit (cut-weight units per byte, scaled by the
+// platform's edge_weight.bytes_factor) that post-reconcile offload decisions
+// grant to components of the working tree the program used or rebuilt
+// while disconnected. The MINCUT benefit model alone picks the
+// cheapest-to-cut sliver and strands the rebuilt tree on the client
+// (JavaNote pays +174% for it); the credit makes the rebuilt tree the
+// preferred candidate.
+constexpr double kReoffloadGravityCredit = 1.0;
+
+using Mode = Platform::Mode;
+// Indexed by Mode: kLegalEdges[from][to].
+constexpr std::array<std::array<bool, 3>, 3> kLegalEdges = {{
+    // to: connected, disconnected, dead
+    {{false, true, true}},   // from connected
+    {{true, false, false}},  // from disconnected: reconcile
+    {{true, false, false}},  // from dead: re-admission
+}};
+
+constexpr std::array<const char*, 3> kModeNames = {"connected",
+                                                    "disconnected", "dead"};
 }  // namespace
 
 Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
@@ -106,8 +135,6 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
     // handle_peer_failure decides when an RPC is finally abandoned.
     rpc::PartitionPolicy pp;
     pp.enabled = true;
-    pp.consecutive_timeouts = config_.disconnect.consecutive_timeouts;
-    pp.silence_after = config_.disconnect.silence_after;
     client_ep_->set_partition_policy(pp);
     // The surrogate's endpoint carries call-backs and release traffic; a
     // partition first surfaces on whichever side happens to be mid-RPC, so
@@ -140,83 +167,82 @@ PlatformConfig Platform::config_for(const SurrogateInfo& surrogate,
   return base;
 }
 
-void Platform::on_gc(NodeId vm, const vm::GcReport&) {
-  if (vm != kClientNode || offloading_in_progress_) return;
-  if (mode_ == Mode::disconnected) {
-    sync_partition_stats();
-    maybe_reconcile();
-    return;
-  }
-  if (surrogate_dead_) {
-    maybe_readmit();
-    return;
-  }
-  maybe_heartbeat();  // may detect a dead/partitioned surrogate
-  if (mode_ == Mode::disconnected || surrogate_dead_) return;
-  maybe_proactive_recall();
-  if (mode_ == Mode::disconnected || surrogate_dead_) return;
-  if (!config_.auto_offload) return;
-  if (offloads_.size() >= offload_budget()) return;
-  if (resource_monitor_.triggered()) {
-    resource_monitor_.consume_trigger();
-    offload_now();
-  }
-}
+void Platform::on_gc(NodeId vm, const vm::GcReport&) { tick(vm, true); }
 
-void Platform::on_invoke(const vm::InvokeEvent& ev) {
-  link_maintenance(ev.vm);
-}
+void Platform::on_invoke(const vm::InvokeEvent& ev) { tick(ev.vm, false); }
 
 void Platform::on_access(const vm::AccessEvent& ev) {
   // A compute-heavy stretch can burn hundreds of simulated milliseconds
   // inside one method without a single invocation exit or GC; data accesses
   // are the only events dense enough to notice the link there.
-  link_maintenance(ev.vm);
+  tick(ev.vm, false);
 }
 
-void Platform::link_maintenance(NodeId vm) {
-  if (vm != kClientNode || offloading_in_progress_ || disconnect_dispatch_) {
-    return;
-  }
-  disconnect_dispatch_ = true;
-  if (mode_ == Mode::disconnected) {
-    sync_partition_stats();
-    maybe_reconcile();
-  } else if (!surrogate_dead_) {
+void Platform::tick(NodeId vm, bool gc) {
+  if (vm != kClientNode || offloading_in_progress_ || in_tick_) return;
+  in_tick_ = true;
+  if (mode_ == Mode::disconnected) sync_partition_stats();
+  if (mode_ != Mode::connected) {
+    maybe_probe();
+  } else {
     // Quiet-window detection: a long local stretch with an idle link never
-    // GCs either, so the heartbeat needs this dispatch point too. A no-op
-    // unless the heartbeat policy is armed and the link has gone silent.
+    // GCs either, so the heartbeat runs on every event. It may leave
+    // connected, and so may the recall.
     maybe_heartbeat();
+    if (gc && mode_ == Mode::connected) maybe_proactive_recall();
+    if (gc && mode_ == Mode::connected && config_.auto_offload &&
+        offloads_.size() < offload_budget() && resource_monitor_.triggered()) {
+      resource_monitor_.consume_trigger();
+      offload_now();
+    }
   }
-  disconnect_dispatch_ = false;
+  in_tick_ = false;
+}
+
+void Platform::set_mode(Mode to) {
+  const auto from = static_cast<std::size_t>(mode_);
+  const auto next = static_cast<std::size_t>(to);
+  if (!kLegalEdges[from][next]) {
+    throw std::logic_error(std::string("illegal link transition ") +
+                           kModeNames[from] + " -> " + kModeNames[next]);
+  }
+  mode_ = to;
+  if (to == Mode::connected) return;
+  // Probing starts one probe_interval from now.
+  last_probe_at_ = clock_.now();
+  probes_ = 0;
+  reconcile_attempts_ = 0;
 }
 
 void Platform::maybe_heartbeat() {
-  if (config_.heartbeat.idle_after <= 0 || !offloaded() || surrogate_dead_) {
-    return;
-  }
+  if (config_.heartbeat.idle_after <= 0 || !offloaded()) return;
   if (clock_.now() - client_ep_->last_contact() < config_.heartbeat.idle_after) {
     return;
   }
   if (!client_ep_->ping()) handle_peer_failure();
 }
 
-void Platform::maybe_readmit() {
-  if (!config_.readmission.enabled ||
-      readmissions_.size() >= config_.readmission.max_readmissions) {
-    return;
-  }
-  if (last_probe_at_ != 0 &&
-      clock_.now() - last_probe_at_ < config_.readmission.probe_interval) {
+void Platform::maybe_probe() {
+  const bool capped =
+      mode_ == Mode::dead
+          ? !config_.disconnect.readmit ||
+                readmissions_.size() >= kMaxReadmissions
+          : reconcile_attempts_ >= kMaxReconcileAttempts;
+  if (capped || clock_.now() - last_probe_at_ <
+                    config_.disconnect.probe_interval) {
     return;
   }
   last_probe_at_ = clock_.now();
-  probes_since_failure_ += 1;
-  const auto probe = link_.try_one_way(config_.readmission.probe_bytes,
-                                       clock_.now(), netsim::Leg::request);
+  probes_ += 1;
+  const auto probe =
+      link_.try_one_way(kProbeBytes, clock_.now(), netsim::Leg::request);
   if (!probe.delivered) return;
   clock_.advance(probe.cost);
-  readmit();
+  if (mode_ == Mode::dead) {
+    readmit();
+  } else {
+    reconcile();
+  }
 }
 
 void Platform::readmit() {
@@ -227,13 +253,12 @@ void Platform::readmit() {
   // forced the original offload did not go away with the failure.
   rpc::Endpoint::connect(*client_ep_, *surrogate_ep_);
   client_ep_->advance_epoch();
-  surrogate_dead_ = false;
+  set_mode(Mode::connected);
 
   ReadmissionReport report;
   report.at = clock_.now();
   report.ordinal = readmissions_.size() + 1;
-  report.probes_sent = probes_since_failure_;
-  probes_since_failure_ = 0;
+  report.probes_sent = probes_;
   readmissions_.push_back(report);
 
   resource_monitor_.note_peer_recovered();
@@ -255,10 +280,7 @@ void Platform::readmit() {
 }
 
 bool Platform::low_memory_rescue(vm::Vm&) {
-  if (offloading_in_progress_ || surrogate_dead_ ||
-      mode_ == Mode::disconnected) {
-    return false;
-  }
+  if (offloading_in_progress_ || mode_ != Mode::connected) return false;
   // Forced offload: free at least the configured fraction, but accept any
   // partitioning that frees something if the policy's constraint cannot be
   // met — failing the allocation is strictly worse.
@@ -287,58 +309,91 @@ partition::PartitionRequest Platform::make_request(
   req.weight = config_.edge_weight;
   if (!reoffload_gravity_.empty()) {
     req.reoffload_gravity = &reoffload_gravity_;
-    req.gravity_credit_per_byte = config_.disconnect.reoffload_gravity_credit *
-                                  config_.edge_weight.bytes_factor;
+    req.gravity_credit_per_byte =
+        kReoffloadGravityCredit * config_.edge_weight.bytes_factor;
   }
-  if (config_.use_static_hints) {
-    // Prefer the verify-layer hints: a superset of the metadata-only ones
-    // (same contraction fields, plus replay/prefetch facts the partitioner
-    // ignores), so this changes nothing unless effect_verify found more.
-    if (verify_.has_value()) {
-      req.hints = &verify_->hints;
-    } else if (analysis_.has_value()) {
-      req.hints = &analysis_->hints;
-    }
-  }
+  if (config_.use_static_hints) req.hints = static_hints();
   return req;
 }
 
+const analysis::StaticHints* Platform::static_hints() const noexcept {
+  // The verify-layer hints have the same contraction fields as the
+  // metadata-only ones plus replay/prefetch facts, so preferring them
+  // changes nothing unless effect_verify found more.
+  if (verify_.has_value()) return &verify_->hints;
+  if (analysis_.has_value()) return &analysis_->hints;
+  return nullptr;
+}
+
 bool Platform::handle_peer_failure() {
-  if (mode_ == Mode::disconnected) return true;
-  if (surrogate_dead_) return true;
+  if (mode_ != Mode::connected) return true;
   // A sustained partition is not a dead surrogate: when the detector says
   // the link (not the peer) is gone, keep the surrogate's state where it is
-  // and switch to disconnected execution against hoarded replicas instead of
-  // tearing the offload down.
-  if (config_.disconnect.enabled && (client_ep_->partition_suspected() ||
-                                     surrogate_ep_->partition_suspected())) {
-    return enter_disconnected_mode();
-  }
-  surrogate_dead_ = true;
-  // Re-admission probing starts one probe_interval from now.
-  last_probe_at_ = clock_.now();
-  probes_since_failure_ = 0;
-
-  FailureReport report;
-  report.at = clock_.now();
-
-  // Enumerate the surviving surrogate state before tearing anything down.
+  // and run disconnected against hoarded replicas instead of tearing the
+  // offload down.
+  const bool partitioned =
+      config_.disconnect.enabled && (client_ep_->partition_suspected() ||
+                                     surrogate_ep_->partition_suspected());
+  set_mode(partitioned ? Mode::disconnected : Mode::dead);
+  const SimTime at = clock_.now();
   std::vector<ObjectId> ids;
+  const std::uint64_t bytes = pull_back(ids);
+
+  if (partitioned) {
+    // A fresh disconnection era: gravity harvested from the previous
+    // reconcile no longer describes the working set this episode builds.
+    reoffload_gravity_.clear();
+    // The registry is NOT told the surrogate died — it is expected back.
+    client_ep_->note_disconnect_detected();
+    disconnects_.push_back(DisconnectReport{at, ids.size(), bytes});
+    AIDE_LOG_INFO("platform", "partition detected at ", at, "ns; hoarded ",
+                  ids.size(), " replicas (", bytes / 1024,
+                  "KB), running disconnected");
+    hoarded_ids_ = std::move(ids);
+  } else {
+    // Tell the registry not to hand this surrogate out again.
+    if (surrogate_registry_ != nullptr && registered_surrogate_.valid()) {
+      surrogate_registry_->mark_dead(registered_surrogate_);
+    }
+    failures_.push_back(FailureReport{at, ids.size(), bytes});
+    AIDE_LOG_INFO("platform", "surrogate failed at ", at, "ns; reclaimed ",
+                  ids.size(), " objects (", bytes / 1024,
+                  "KB), continuing local");
+  }
+  return true;
+}
+
+std::uint64_t Platform::pull_back(std::vector<ObjectId>& ids) {
+  const bool hoard = mode_ == Mode::disconnected;
+  // Enumerate the surviving surrogate state before severing anything
+  // (sorted: determinism of the adoption order, and thus of every
+  // downstream byte).
   surrogate_->heap().for_each(
       [&](const vm::Object& o) { ids.push_back(o.id); });
   std::sort(ids.begin(), ids.end());
 
   // Sever the pair first: release handlers become no-ops and no regular RPC
-  // can charge the dead link while we reintegrate.
-  client_ep_->disconnect();
+  // can charge the failed link while state comes home. A partition keeps
+  // both RefMaps — both heaps survive and reconcile needs them to keep
+  // resolving.
+  if (hoard) {
+    client_ep_->detach_partitioned();
+  } else {
+    client_ep_->disconnect();
+  }
 
-  // Reintegration: adopt every surviving object into the client heap. Each
-  // adoptee is pinned until the whole batch lands — a client GC forced by
+  // Adopt every surviving object into the client heap. A dead surrogate
+  // gives its objects up; a partitioned one keeps its originals as the
+  // replay target (it is provably idle while partitioned — the two VMs never
+  // execute simultaneously) and the client adopts replicas. Each adoptee is
+  // pinned until the whole batch lands: a client GC forced by
   // ensure_capacity mid-loop cannot yet see the surrogate-side references
   // among them.
   std::uint64_t bytes = 0;
   for (const ObjectId id : ids) {
-    auto obj = surrogate_->migrate_out(id);
+    std::unique_ptr<vm::Object> obj =
+        hoard ? std::make_unique<vm::Object>(*surrogate_->find_object(id))
+              : surrogate_->migrate_out(id);
     bytes += static_cast<std::uint64_t>(obj->size_bytes());
     client_->migrate_in(std::move(obj));
     client_->add_root(vm::ObjectRef{id});
@@ -346,37 +401,34 @@ bool Platform::handle_peer_failure() {
   for (const ObjectId id : ids) {
     client_->remove_root(vm::ObjectRef{id});
   }
-  // Any write-behind ops still queued against the dead surrogate now target
-  // reintegrated local objects; land them before the application resumes.
-  client_ep_->flush_pending();
-  report.objects_reclaimed = ids.size();
-  report.bytes_reclaimed = bytes;
 
-  // Charge the recovery channel: failure detection plus shipping the
-  // reclaimed state back over whatever path survived.
+  if (hoard) {
+    // Install the redo log watching exactly the replicas, BEFORE flushing
+    // the write-behind queue: the queued stores now target local replicas
+    // and their local application must be captured for replay like any
+    // other disconnected-era mutation.
+    disconnect_log_.clear_entries();
+    disconnect_log_.watch(ids);
+    client_->set_redo_log(&disconnect_log_);
+  }
+  // Any write-behind ops still queued against the surrogate now target
+  // local objects; land them before the application resumes.
+  client_ep_->flush_pending();
+
+  // Charge the recovery channel: failure detection plus shipping the state
+  // back over whatever path survived.
   clock_.advance(config_.recovery_latency +
                  static_cast<SimDuration>(static_cast<double>(bytes) * 8.0 /
                                           config_.recovery_bandwidth_bps *
                                           1e9));
-
-  // There is nowhere left to offload to: stop raising triggers and tell the
-  // registry not to hand this surrogate out again.
+  // Nowhere to offload to: stop raising triggers.
   resource_monitor_.note_peer_failure();
-  if (surrogate_registry_ != nullptr && registered_surrogate_.valid()) {
-    surrogate_registry_->mark_dead(registered_surrogate_);
-  }
-
-  failures_.push_back(report);
-  AIDE_LOG_INFO("platform", "surrogate failed at ", report.at,
-                "ns; reclaimed ", report.objects_reclaimed, " objects (",
-                report.bytes_reclaimed / 1024, "KB), continuing local");
-  return true;
+  return bytes;
 }
 
 std::optional<OffloadReport> Platform::offload_now(
     std::optional<std::int64_t> min_free_override) {
-  if (offloading_in_progress_ || surrogate_dead_ ||
-      mode_ == Mode::disconnected) {
+  if (offloading_in_progress_ || mode_ != Mode::connected) {
     return std::nullopt;
   }
   offloading_in_progress_ = true;
@@ -476,104 +528,12 @@ std::optional<OffloadReport> Platform::offload_now(
 
 // --- disconnected operation ----------------------------------------------------
 
-bool Platform::enter_disconnected_mode() {
-  mode_ = Mode::disconnected;
-  // Reconnect probing starts one probe_interval from now; the reconcile
-  // budget is per-episode, so a flappy link gets a fresh allowance each time.
-  last_reconcile_probe_at_ = clock_.now();
-  reconcile_attempts_ = 0;
-  // A fresh disconnection era: gravity harvested from the previous
-  // reconcile no longer describes the working set this episode will build.
-  reoffload_gravity_.clear();
-
-  DisconnectReport report;
-  report.at = clock_.now();
-
-  // Enumerate the surrogate's surviving working set (sorted: determinism of
-  // the hoard order, and thus of every downstream byte).
-  std::vector<ObjectId> ids;
-  surrogate_->heap().for_each(
-      [&](const vm::Object& o) { ids.push_back(o.id); });
-  std::sort(ids.begin(), ids.end());
-
-  // Sever the pair: no regular RPC may charge the partitioned link, and the
-  // release handlers become no-ops. Refs are preserved — unlike a surrogate
-  // death, both heaps survive and reconcile needs them to keep resolving.
-  client_ep_->detach_partitioned();
-
-  // Hoard: adopt a *replica* (copy) of every surrogate-resident object into
-  // the client heap, replacing its stub. Unlike handle_peer_failure the
-  // surrogate keeps its originals — it is provably idle while partitioned
-  // (the two VMs never execute simultaneously), and those originals are the
-  // replay target at reconcile time. Each replica is pinned until the whole
-  // batch lands so a client GC forced mid-loop cannot reclaim replicas only
-  // referenced from surrogate-side state.
-  std::uint64_t bytes = 0;
-  for (const ObjectId id : ids) {
-    const vm::Object* obj = surrogate_->find_object(id);
-    bytes += static_cast<std::uint64_t>(obj->size_bytes());
-    client_->migrate_in(std::make_unique<vm::Object>(*obj));
-    client_->add_root(vm::ObjectRef{id});
-  }
-  for (const ObjectId id : ids) {
-    client_->remove_root(vm::ObjectRef{id});
-  }
-
-  // Install the redo log watching exactly the replicas, BEFORE flushing the
-  // write-behind queue: the queued stores now target local replicas and
-  // their local application must be captured for replay like any other
-  // disconnected-era mutation.
-  disconnect_log_.clear_entries();
-  disconnect_log_.watch(ids);
-  hoarded_ids_ = std::move(ids);
-  client_->set_redo_log(&disconnect_log_);
-  client_ep_->flush_pending();
-
-  // Charge the recovery channel for the hoard: partition detection plus
-  // shipping the replicas over whatever path survived (the same cost model
-  // as failure reintegration — hoarding is reintegration that keeps a copy).
-  clock_.advance(config_.recovery_latency +
-                 static_cast<SimDuration>(static_cast<double>(bytes) * 8.0 /
-                                          config_.recovery_bandwidth_bps *
-                                          1e9));
-
-  // No offload target while partitioned: stop raising triggers. The registry
-  // is NOT told the surrogate died — it is expected back.
-  resource_monitor_.note_peer_failure();
-  client_ep_->note_disconnect_detected();
-
-  report.objects_hoarded = hoarded_ids_.size();
-  report.bytes_hoarded = bytes;
-  disconnects_.push_back(report);
-  AIDE_LOG_INFO("platform", "partition detected at ", report.at,
-                "ns; hoarded ", report.objects_hoarded, " replicas (",
-                report.bytes_hoarded / 1024, "KB), running disconnected");
-  return true;
-}
-
 void Platform::sync_partition_stats() {
   client_ep_->note_partition_stats(
       disconnect_log_.ops_journaled() - synced_journaled_,
       disconnect_log_.ops_coalesced() - synced_coalesced_);
   synced_journaled_ = disconnect_log_.ops_journaled();
   synced_coalesced_ = disconnect_log_.ops_coalesced();
-}
-
-void Platform::maybe_reconcile() {
-  if (reconcile_attempts_ >= config_.disconnect.max_reconciles) {
-    return;
-  }
-  if (last_reconcile_probe_at_ != 0 &&
-      clock_.now() - last_reconcile_probe_at_ <
-          config_.disconnect.probe_interval) {
-    return;
-  }
-  last_reconcile_probe_at_ = clock_.now();
-  const auto probe = link_.try_one_way(config_.disconnect.probe_bytes,
-                                       clock_.now(), netsim::Leg::request);
-  if (!probe.delivered) return;
-  clock_.advance(probe.cost);
-  reconcile();
 }
 
 void Platform::reconcile() {
@@ -628,7 +588,7 @@ void Platform::reconcile() {
   disconnect_log_.reset();
   synced_journaled_ = 0;
   synced_coalesced_ = 0;
-  mode_ = Mode::connected;
+  set_mode(Mode::connected);
   resource_monitor_.note_peer_recovered();
   disconnects_.back().resumed = true;
   disconnects_.back().resumed_at = clock_.now();
@@ -648,12 +608,11 @@ void Platform::reconcile() {
   // so the seed stays live for trigger-driven evaluations after this one —
   // a short outage reconciles before the program has rebuilt much, and the
   // tree it keeps growing at those same sites still needs the pull. A new
-  // disconnection starts a fresh era (enter_disconnected_mode clears).
+  // disconnection starts a fresh era (handle_peer_failure clears).
   (void)offload_now(last_offload_min_free_);
 }
 
 void Platform::collect_reoffload_gravity() {
-  if (config_.disconnect.reoffload_gravity_credit <= 0.0) return;
   // BFS over client-local references from the redo log's watch set: the
   // hoarded replicas (still client-local here — they drop only after the
   // ack) plus every live journaled value. Everything reachable belongs to
@@ -698,12 +657,7 @@ void Platform::maybe_proactive_recall() {
   // Choose what to hoard with the static hints: prefetch-eligible classes
   // (encapsulated writes) are exactly the objects the client can keep
   // coherent locally, so they come home first while the link still works.
-  const analysis::StaticHints* hints = nullptr;
-  if (verify_.has_value()) {
-    hints = &verify_->hints;
-  } else if (analysis_.has_value()) {
-    hints = &analysis_->hints;
-  }
+  const analysis::StaticHints* hints = static_hints();
   if (hints == nullptr || hints->prefetch_eligible.empty()) return;
 
   std::vector<ObjectId> ids;

@@ -45,62 +45,39 @@ struct Enhancements {
 };
 
 // Idle-period failure detection: when the client endpoint has been quiet for
-// `idle_after` (checked on client GC ticks, the platform's natural timer), a
-// ping() probes the surrogate so a dead peer is detected before the next
-// application RPC stalls on it. 0 disables heartbeats — the default, which
-// keeps armed-but-inert fault plans bit-identical to fault-free runs.
+// `idle_after` while connected and offloaded, a ping() probes the surrogate
+// so a dead peer is detected before the next application RPC stalls on it.
+// 0 disables heartbeats — the default, which keeps armed-but-inert fault
+// plans bit-identical to fault-free runs.
 struct HeartbeatPolicy {
   SimDuration idle_after = 0;
 };
 
-// Surrogate re-admission: after handle_peer_failure the platform keeps
-// probing the link (on client GC ticks, rate-limited by probe_interval); when
-// a probe gets through it reconnects the endpoint pair under a fresh
-// migration epoch, re-runs the partitioning policy and re-offloads. Off by
-// default: PR 1's permanent-degradation semantics remain the baseline.
-struct ReadmissionPolicy {
-  bool enabled = false;
-  SimDuration probe_interval = sim_ms(250);
-  // Payload of one probe message (charged to the link when it delivers).
-  std::uint64_t probe_bytes = 64;
-  std::size_t max_readmissions = 4;
-};
-
-// Disconnected operation: when the client endpoint's partition detector
-// distinguishes a sustained partition from transient loss, the platform
-// enters an explicit Disconnected mode instead of tearing the offload down —
-// it hoards replicas of the surrogate-resident working set into the client
-// heap, executes everything locally while journaling intended remote
-// mutations into a coalescing redo log, probes the link, and reconciles the
-// log against the revived surrogate exactly-once before resuming partitioned
-// execution. Off by default: PR 1's teardown semantics remain the baseline.
+// What the platform does when the link fails, and how it comes back. Every
+// failure leaves Mode::connected for one of two states:
+//
+//   disconnected — `enabled` and the partition detector suspects the link,
+//     not the peer: hoard replicas of the surrogate-resident working set,
+//     run locally while a coalescing redo log journals remote mutations,
+//     and reconcile that log exactly once when a probe gets through.
+//   dead — anything else: move the surviving surrogate state home and run
+//     standalone. With `readmit` a delivered probe reconnects the pair under
+//     a fresh epoch and re-offloads; without it the degradation is
+//     permanent.
+//
+// Both are off by default: a failure is a permanent teardown.
 struct DisconnectPolicy {
   bool enabled = false;
-  // Partition-detector thresholds (see rpc::PartitionPolicy).
-  std::uint32_t consecutive_timeouts = 3;
-  SimDuration silence_after = sim_ms(60);
-  // Reconnect probing while disconnected, on client GC ticks (the platform's
-  // deterministic timer), rate-limited like readmission probing.
+  bool readmit = false;
+  // Rate limit of the reconnect probe sent while disconnected or dead, and
+  // of proactive recalls while connected.
   SimDuration probe_interval = sim_ms(250);
-  std::uint64_t probe_bytes = 64;
-  std::size_t max_reconciles = 16;
   // Proactive hoard on a degrading link: while connected and offloaded, if
   // the Jacobson-estimated RTT exceeds this threshold the platform recalls
   // the prefetch-eligible working set (StaticHints: encapsulated-writes
   // classes) over the still-live link, so an eventual partition strands less
   // state. 0 disables the proactive path.
   SimDuration degrade_rtt = 0;
-  // Allocation-gravity credit (cut-weight units per byte, scaled by the
-  // platform's edge_weight.bytes_factor) that post-reconcile offload
-  // decisions grant to components of the working tree the program used or
-  // rebuilt while disconnected (harvested from the redo-log watch set at
-  // reconcile). The MINCUT benefit model alone picks the cheapest-to-cut
-  // sliver and strands the rebuilt tree on the client (JavaNote pays +174%
-  // for it); the credit makes the rebuilt tree the preferred candidate.
-  // The seed persists for the connected era — the sites keep allocating
-  // after a short outage — and resets at the next disconnection. 0
-  // restores the unseeded re-offload.
-  double reoffload_gravity_credit = 1.0;
 };
 
 struct PlatformConfig {
@@ -125,9 +102,8 @@ struct PlatformConfig {
   rpc::BatchPolicy batching;
   // Idle-period heartbeat probing (off by default).
   HeartbeatPolicy heartbeat;
-  // Probe-and-reconnect after a surrogate failure (off by default).
-  ReadmissionPolicy readmission;
-  // Disconnected operation: hoard / journal / reconcile (off by default).
+  // Failure handling: disconnected operation and re-admission (off by
+  // default).
   DisconnectPolicy disconnect;
   // Recovery-channel cost model for pulling state back from a dead
   // surrogate: a flat re-handshake latency plus the reclaimed bytes over the
@@ -273,24 +249,28 @@ class Platform : private vm::VmHooks {
   }
   [[nodiscard]] bool offloaded() const noexcept { return !offloads_.empty(); }
 
+  // --- link state -----------------------------------------------------------
+  //
+  // The legal edges are connected→disconnected, connected→dead,
+  // disconnected→connected (reconcile) and dead→connected (re-admission);
+  // any other change throws std::logic_error. "Suspect" is not a state: it
+  // is the endpoints' rpc::PartitionDetector, consulted as a guard when a
+  // failure picks disconnected over dead.
+  enum class Mode : std::uint8_t { connected, disconnected, dead };
+  [[nodiscard]] Mode mode() const noexcept { return mode_; }
+  [[nodiscard]] bool surrogate_dead() const noexcept {
+    return mode_ == Mode::dead;
+  }
+  [[nodiscard]] bool disconnected() const noexcept {
+    return mode_ == Mode::disconnected;
+  }
+
   [[nodiscard]] const std::vector<FailureReport>& failures() const noexcept {
     return failures_;
   }
-  [[nodiscard]] bool surrogate_dead() const noexcept {
-    return surrogate_dead_;
-  }
-
   [[nodiscard]] const std::vector<ReadmissionReport>& readmissions()
       const noexcept {
     return readmissions_;
-  }
-
-  // --- disconnected operation ----------------------------------------------
-
-  enum class Mode : std::uint8_t { connected, disconnected };
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
-  [[nodiscard]] bool disconnected() const noexcept {
-    return mode_ == Mode::disconnected;
   }
   [[nodiscard]] const std::vector<DisconnectReport>& disconnects()
       const noexcept {
@@ -312,11 +292,13 @@ class Platform : private vm::VmHooks {
     registered_surrogate_ = surrogate_id;
   }
 
-  // Graceful degradation: severs the endpoint pair, reclaims every
-  // surviving surrogate-resident object back into the client heap (charging
-  // the recovery channel), suppresses further offload triggers and marks
-  // the surrogate dead in the attached registry. Idempotent; returns true
-  // once the client owns all surviving state.
+  // Leaves Mode::connected after a failed RPC. Disconnected (partition
+  // suspected, DisconnectPolicy::enabled): hoards replicas of the
+  // surrogate's state. Dead (otherwise): severs the endpoint pair, reclaims
+  // every surviving surrogate-resident object and marks the surrogate dead
+  // in the attached registry. Either way the recovery channel is charged and
+  // offload triggers are suppressed. Idempotent; returns true once the
+  // client can run on its own.
   bool handle_peer_failure();
 
   // Evaluates the partitioning policy now; migrates and returns a report if a
@@ -329,31 +311,35 @@ class Platform : private vm::VmHooks {
   [[nodiscard]] SimDuration elapsed() const noexcept { return clock_.now(); }
 
  private:
-  // VmHooks: the platform watches client GC reports for the trigger (and,
-  // with the respective policies armed, for heartbeat and re-admission
-  // probing — GC cadence is the platform's deterministic timer).
+  // VmHooks: client GC, invocation exit and data access all run tick(). GC
+  // cadence alone cannot be the timer: a workload that stops allocating
+  // (hot loops over hoarded arrays, a program only invoking after a
+  // failure) would starve the reconnect probe and never notice the link
+  // returning; the probe interval gates the cost of the denser events.
   void on_gc(NodeId vm, const vm::GcReport& report) override;
-  // Disconnected-mode reconcile probing cannot depend on GC cadence alone: a
-  // workload that stops allocating (hot loops over hoarded arrays) would
-  // starve the probe loop and never notice the link returning. Invocation
-  // exit is the densest safe dispatch point; the probe interval gates cost.
   void on_invoke(const vm::InvokeEvent& ev) override;
   void on_access(const vm::AccessEvent& ev) override;
-  // Shared probe/heartbeat dispatch behind the three event hooks above.
-  void link_maintenance(NodeId vm);
+  // Connected: heartbeat, plus (on GC only) proactive recall and the
+  // offload trigger. Disconnected or dead: the reconnect probe.
+  void tick(NodeId vm, bool gc);
 
+  // The only writer of mode_: checks the edge against the legal-edge table
+  // and, on leaving connected, restarts the probe clock and counters.
+  void set_mode(Mode to);
   // Idle-period liveness probe; a failed ping runs handle_peer_failure.
   void maybe_heartbeat();
-  // Probe the link after a failure; reconnect + re-offload on recovery.
-  void maybe_readmit();
+  // Rate-limited reconnect probe; a delivered one runs readmit() when dead
+  // and reconcile() when disconnected.
+  void maybe_probe();
+  // Dead → connected: reconnect under a fresh epoch and re-offload.
   void readmit();
-  // Disconnected-mode transitions. enter_disconnected_mode hoards replicas
-  // and installs the redo log; maybe_reconcile probes the link while
-  // disconnected; reconcile replays the log and resumes on success;
-  // maybe_proactive_recall pulls eligible state back over a degrading link.
-  bool enter_disconnected_mode();
-  void maybe_reconcile();
+  // Disconnected → connected once the redo log is applied and acked.
   void reconcile();
+  // Pulls the surrogate's surviving objects into the client heap as mode_
+  // (just set) dictates: moved when dead, copied as redo-logged replicas
+  // when disconnected. Fills `ids` (sorted) and returns the bytes pulled
+  // back.
+  std::uint64_t pull_back(std::vector<ObjectId>& ids);
   void maybe_proactive_recall();
   // Pushes redo-log counter deltas into the client endpoint's stats.
   void sync_partition_stats();
@@ -366,6 +352,9 @@ class Platform : private vm::VmHooks {
   bool low_memory_rescue(vm::Vm& vm);
   [[nodiscard]] partition::PartitionRequest make_request(
       std::optional<std::int64_t> min_free_override) const;
+  // The verify-layer hints when effect_verify ran (a superset of the
+  // metadata-only ones), else the aidelint hints, else null.
+  [[nodiscard]] const analysis::StaticHints* static_hints() const noexcept;
   void collect_reoffload_gravity();
 
   PlatformConfig config_;
@@ -388,16 +377,20 @@ class Platform : private vm::VmHooks {
   std::vector<OffloadReport> offloads_;
   std::vector<FailureReport> failures_;
   std::vector<ReadmissionReport> readmissions_;
-  SimTime last_probe_at_ = 0;
-  std::size_t probes_since_failure_ = 0;
   bool offloading_in_progress_ = false;
-  bool surrogate_dead_ = false;
-  // Disconnected-operation state. `mode_` is deliberately separate from
-  // surrogate_dead_: a dead surrogate has no state worth reconciling (it was
-  // pulled back), while a disconnected one keeps its originals as the replay
-  // target. The hoarded ids are the replicas to drop at resume; the synced_*
-  // cursors track which log counters already reached EndpointStats.
+  bool in_tick_ = false;  // reentrancy guard for tick()
+  // Link state. A dead surrogate has no state worth reconciling (it was
+  // pulled back); a disconnected one keeps its originals as the replay
+  // target. The probe clock and counters restart on every exit from
+  // connected: probes_ counts probes sent, reconcile_attempts_ the
+  // delivered ones that ran reconcile() in this disconnection episode.
   Mode mode_ = Mode::connected;
+  SimTime last_probe_at_ = 0;
+  std::size_t probes_ = 0;
+  std::size_t reconcile_attempts_ = 0;
+  // Disconnected-operation state. The hoarded ids are the replicas to drop
+  // at resume; the synced_* cursors track which log counters already
+  // reached EndpointStats.
   vm::DisconnectLog disconnect_log_;
   std::vector<ObjectId> hoarded_ids_;
   // Components of the working tree rebuilt while disconnected, harvested
@@ -410,9 +403,6 @@ class Platform : private vm::VmHooks {
   std::optional<std::int64_t> last_offload_min_free_;
   std::vector<DisconnectReport> disconnects_;
   std::vector<RecallReport> recalls_;
-  SimTime last_reconcile_probe_at_ = 0;
-  std::size_t reconcile_attempts_ = 0;
-  bool disconnect_dispatch_ = false;  // reentrancy guard for on_invoke
   SimTime last_recall_at_ = 0;
   std::uint64_t synced_journaled_ = 0;
   std::uint64_t synced_coalesced_ = 0;

@@ -509,10 +509,38 @@ TEST(PlatformDisconnectTest, DisabledPolicyStillTearsDownOnFailure) {
   const ObjectRef counter = offloaded_counter(p);
   client.work(sim_sec(2));
   EXPECT_EQ(client.call(counter, "get").as_int(), 5);
+  EXPECT_EQ(p.mode(), pf::Platform::Mode::dead);
   EXPECT_TRUE(p.surrogate_dead());
   EXPECT_FALSE(p.disconnected());
   EXPECT_EQ(p.failures().size(), 1u);
   EXPECT_TRUE(p.disconnects().empty());
+}
+
+TEST(PlatformDisconnectTest, RevivedSurrogateIsReAdmittedWithoutAllocation) {
+  // After a teardown the program may never allocate again; re-admission
+  // probing must not wait for a client GC that never comes. Invocation
+  // exits alone have to notice the revived link and bring the offload back.
+  auto cfg = disconnect_config();
+  cfg.disconnect.enabled = false;
+  cfg.disconnect.readmit = true;
+  cfg.fault_plan.outages.push_back({sim_sec(1), sim_sec(4)});
+  pf::Platform p(make_test_registry(), cfg);
+  vm::Vm& client = p.client();
+  const ObjectRef counter = offloaded_counter(p);
+  client.work(sim_ms(1500));
+  EXPECT_EQ(client.call(counter, "get").as_int(), 5);
+  ASSERT_EQ(p.mode(), pf::Platform::Mode::dead);
+  EXPECT_TRUE(client.is_local(counter.id));
+
+  client.work(sim_sec(3));  // past the outage
+  const std::uint64_t gcs = client.stats().gc_cycles;
+  for (int i = 0; i < 20; ++i) client.call(counter, "inc");
+  EXPECT_EQ(client.stats().gc_cycles, gcs);  // no GC tick to probe from
+  EXPECT_EQ(p.mode(), pf::Platform::Mode::connected);
+  ASSERT_EQ(p.readmissions().size(), 1u);
+  EXPECT_TRUE(p.readmissions()[0].reoffloaded);
+  EXPECT_EQ(p.offloads().size(), 2u);
+  EXPECT_EQ(client.call(counter, "get").as_int(), 25);
 }
 
 // --- proactive recall on a degrading link -------------------------------------

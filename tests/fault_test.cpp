@@ -126,6 +126,7 @@ struct RunResult {
   std::uint64_t checksum = 0;
   bool offloaded = false;
   bool dead = false;
+  platform::Platform::Mode mode = platform::Platform::Mode::connected;
   SimTime offload_at = 0;
   SimTime offload_done = 0;
   SimTime end = 0;
@@ -161,6 +162,7 @@ RunResult run_app(const apps::AppInfo& app, const apps::AppParams& params,
   p.client().remove_hooks(&forced);
   r.offloaded = p.offloaded();
   r.dead = p.surrogate_dead();
+  r.mode = p.mode();
   if (r.offloaded) {
     r.offload_at = p.offloads().front().at;
     r.offload_done = p.offloads().front().completed_at;
@@ -392,8 +394,8 @@ TEST(ReadmissionTest, RevivedSurrogateIsReAdmittedAndReOffloaded) {
   cfg.fault_plan.dead_after =
       probe.offload_done + (probe.end - probe.offload_done) / 4;
   cfg.fault_plan.revive_at = cfg.fault_plan.dead_after + sim_ms(250);
-  cfg.readmission.enabled = true;
-  cfg.readmission.probe_interval = sim_ms(1);
+  cfg.disconnect.readmit = true;
+  cfg.disconnect.probe_interval = sim_ms(1);
 
   // First pass learns the (deterministic) re-admission instant; the second
   // measures the remote-execution fraction from exactly that instant.
@@ -405,6 +407,7 @@ TEST(ReadmissionTest, RevivedSurrogateIsReAdmittedAndReOffloaded) {
 
   EXPECT_EQ(r.checksum, expected);
   EXPECT_FALSE(r.dead);  // recovered, not permanently degraded
+  EXPECT_EQ(r.mode, platform::Platform::Mode::connected);
   EXPECT_EQ(r.failures, 1u);
   EXPECT_EQ(r.readmission_count, 1u);
   EXPECT_EQ(r.offload_count, 2u);  // the second OffloadReport
@@ -415,6 +418,14 @@ TEST(ReadmissionTest, RevivedSurrogateIsReAdmittedAndReOffloaded) {
   ASSERT_GT(r.invokes_measured, 0u);
   EXPECT_GT(r.remote_fraction, 0.0);
   EXPECT_NEAR(r.remote_fraction, baseline.remote_fraction, 0.25);
+
+  // The same schedule without re-admission ends where the failure left it.
+  auto no_readmit = cfg;
+  no_readmit.disconnect.readmit = false;
+  const RunResult stays = run_app(app, params, no_readmit);
+  EXPECT_EQ(stays.mode, platform::Platform::Mode::dead);
+  EXPECT_EQ(stays.readmission_count, 0u);
+  EXPECT_EQ(stays.checksum, expected);
 }
 
 TEST(FaultDeterminismTest, SameSeedsReproduceIdenticalRuns) {
