@@ -32,7 +32,7 @@ step "aideverify (effect inference + metadata audit + batch-safety proofs)"
 step "lint suite (ctest -L lint: inference, audit rules, golden CLI output)"
 ctest --test-dir build-ci --output-on-failure -L lint -j "$JOBS"
 
-step "paper golden (ctest -L golden: fig5 DOTs, fig5/6/8/10 stdout and fault/chaos/disconnect JSONs byte-identical)"
+step "paper golden (ctest -L golden: fig5 DOTs, fig5/6/8/10 stdout and fault/chaos/disconnect/fleet JSONs byte-identical)"
 ctest --test-dir build-ci --output-on-failure -L golden
 
 step "perfbench self-tests (reduced-scale end-to-end benchmark suite)"
@@ -59,7 +59,7 @@ step "disconnect smoke (hoard/journal/reconcile under mid-run outages)"
 step "fleet suite (ctest -L fleet: session isolation, admission, scheduling)"
 ctest --test-dir build-ci --output-on-failure -L fleet -j "$JOBS"
 
-step "pool suite (ctest -L pool: k-way differential, placement, failover)"
+step "pool suite (ctest -L pool: placement, failover, pooled fleet emulation)"
 ctest --test-dir build-ci --output-on-failure -L pool -j "$JOBS"
 
 step "fleet smoke (multi-session overhead, zero-alloc dispatch + pool gates)"

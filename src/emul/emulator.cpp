@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "common/log.hpp"
 
@@ -21,11 +20,9 @@ SimDuration Emulator::rpc_cost(std::uint64_t bytes) const {
   return netsim::estimate_rpc_cost(config_.link, bytes);
 }
 
-void Emulator::charge_service(SimDuration service, ServiceKind kind,
-                              std::size_t part) {
+void Emulator::charge_service(SimDuration service, ServiceKind kind) {
   if (service_ == nullptr || service <= 0) return;
-  result_.queue_time +=
-      service_->acquire(current_time(), service, kind, part);
+  result_.queue_time += service_->acquire(current_time(), service, kind);
 }
 
 void Emulator::try_offload(SimTime at, EmulationResult& result) {
@@ -42,13 +39,12 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
     }
     std::uint64_t moved = 0;
     for (const auto& key : manual.selected.offload) {
-      if (placement_of(key) == 0) {
+      if (offloaded_.insert(key).second) {
         if (const auto* node = monitor_->graph().find_node(key)) {
           moved += static_cast<std::uint64_t>(
               std::max<std::int64_t>(node->mem_bytes, 0));
           manual.selected.offload_mem_bytes += node->mem_bytes;
         }
-        placement_[key] = 1;
       }
     }
     if (config_.charge_migration) {
@@ -77,7 +73,6 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
   req.history_duration = std::max<SimDuration>(at, 1);
   req.weight = config_.weight;
   req.charge_migration = config_.charge_migration;
-  req.k = std::max<std::size_t>(config_.surrogate_parts, 1);
 
   const auto decision =
       partition::decide_partitioning(monitor_->graph(), req);
@@ -86,49 +81,26 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
     return;
   }
 
-  // Destination part (1-based placement value) for each selected key:
-  // parts from the k-way split when present, else everything on part 1
-  // (the single-surrogate path, byte-identical to the pre-pool emulator).
-  const auto target_part = [&](const graph::ComponentKey& key) -> int {
-    if (!decision.selected.offload.contains(key)) return 0;
-    for (std::size_t p = 0; p < decision.parts.size(); ++p) {
-      if (decision.parts[p].contains(key)) return static_cast<int>(p) + 1;
-    }
-    return 1;
-  };
-
   // Apply the new placement; charge migration for every component that
   // changes side (repeated repartitioning may also pull components back).
-  // With parts, each surrogate's batch ships separately and occupies only
-  // that surrogate; the parts-free path keeps the original single batch.
+  // Everything that moves ships as one batch.
   std::uint64_t moved_bytes = 0;
-  std::map<std::size_t, std::uint64_t> moved_by_part;
   for (const auto& [key, info] : monitor_->graph().nodes()) {
-    const int want = target_part(key);
-    const int current = placement_of(key);
-    if (want == current) continue;
-    const auto bytes = static_cast<std::uint64_t>(
+    const bool want = decision.selected.offload.contains(key);
+    if (want == on_surrogate(key)) continue;
+    moved_bytes += static_cast<std::uint64_t>(
         std::max<std::int64_t>(info.mem_bytes, 0));
-    moved_bytes += bytes;
-    // The surrogate end of the move: the destination when offloading (or
-    // re-balancing between parts), the source when returning to the client.
-    const int surrogate_end = want != 0 ? want : current;
-    moved_by_part[static_cast<std::size_t>(surrogate_end - 1)] += bytes;
-    placement_[key] = want;
+    if (want) {
+      offloaded_.insert(key);
+    } else {
+      offloaded_.erase(key);
+    }
   }
 
   if (config_.charge_migration) {
-    if (decision.parts.empty()) {
-      const SimDuration cost = rpc_cost(moved_bytes);
-      charge_service(cost, ServiceKind::migration);
-      result.migration_time += cost;
-    } else {
-      for (const auto& [part, bytes] : moved_by_part) {
-        const SimDuration cost = rpc_cost(bytes);
-        charge_service(cost, ServiceKind::migration, part);
-        result.migration_time += cost;
-      }
-    }
+    const SimDuration cost = rpc_cost(moved_bytes);
+    charge_service(cost, ServiceKind::migration);
+    result.migration_time += cost;
   }
 
   OffloadSnapshot snap;
@@ -148,7 +120,7 @@ void Emulator::begin(const Trace& trace) {
   monitor_ = std::make_unique<monitor::ExecutionMonitor>(registry_, mon_cfg);
   resource_ = std::make_unique<monitor::ResourceMonitor>(kEmulatedClient,
                                                          config_.trigger);
-  placement_.clear();
+  offloaded_.clear();
   live_bytes_ = 0;
   freed_since_gc_ = 0;
   alloc_since_gc_ = 0;
@@ -205,19 +177,15 @@ void Emulator::replay_event(const TraceEvent& e) {
     case TraceEventType::method_exit: {
       monitor_->on_method_exit(kEmulatedClient, cls_a, obj_a, method, bytes,
                                e.t);
-      const auto comp = monitor_->component_of(cls_a, obj_a);
-      const int p = placement_of(comp);
-      const bool on_surrogate = p >= 1;
-      const double speed = on_surrogate ? config_.surrogate_speedup : 1.0;
+      const bool remote_exec =
+          on_surrogate(monitor_->component_of(cls_a, obj_a));
+      const double speed = remote_exec ? config_.surrogate_speedup : 1.0;
       const auto scaled =
           static_cast<SimDuration>(static_cast<double>(bytes) / speed);
       compute_raw_ += bytes;
       compute_scaled_ += scaled;
-      // Surrogate-placed self-time occupies that part's surrogate CPU.
-      if (on_surrogate) {
-        charge_service(scaled, ServiceKind::compute,
-                       static_cast<std::size_t>(p - 1));
-      }
+      // Surrogate-placed self-time occupies the surrogate CPU.
+      if (remote_exec) charge_service(scaled, ServiceKind::compute);
       break;
     }
 
@@ -226,21 +194,19 @@ void Emulator::replay_event(const TraceEvent& e) {
       const bool is_static = (e.flags & kFlagStatic) != 0;
       const bool is_stateless = (e.flags & kFlagStateless) != 0;
 
-      const auto from = monitor_->component_of(cls_a, obj_a);
-      const int from_p = placement_of(from);
-      int to_p;
+      const bool from_s = on_surrogate(monitor_->component_of(cls_a, obj_a));
+      bool to_s;
       if (is_native) {
         // Natives execute on the client — unless stateless and the
         // "Native" enhancement is on, in which case they run where invoked.
-        to_p = (is_stateless && config_.stateless_natives_local) ? from_p
-                                                                 : 0;
+        to_s = is_stateless && config_.stateless_natives_local && from_s;
       } else if (is_static) {
         // Managed statics run on the invoking VM.
-        to_p = from_p;
+        to_s = from_s;
       } else {
-        to_p = placement_of(monitor_->component_of(cls_b, obj_b));
+        to_s = on_surrogate(monitor_->component_of(cls_b, obj_b));
       }
-      const bool remote = from_p != to_p;
+      const bool remote = from_s != to_s;
 
       result_.total_invocations += 1;
       if (remote) {
@@ -249,11 +215,7 @@ void Emulator::replay_event(const TraceEvent& e) {
         result_.remote_bytes += static_cast<std::uint64_t>(bytes);
         const SimDuration cost =
             rpc_cost(static_cast<std::uint64_t>(bytes));
-        // The surrogate end executes the op: the callee's part, or the
-        // caller's when the callee is the client.
-        const int sp = to_p >= 1 ? to_p : from_p;
-        charge_service(cost, ServiceKind::remote_op,
-                       static_cast<std::size_t>(sp - 1));
+        charge_service(cost, ServiceKind::remote_op);
         result_.comm_time += cost;
       }
 
@@ -276,13 +238,11 @@ void Emulator::replay_event(const TraceEvent& e) {
 
     case TraceEventType::access: {
       const bool is_static = (e.flags & kFlagStatic) != 0;
-      const auto from = monitor_->component_of(cls_a, obj_a);
-      const int from_p = placement_of(from);
+      const bool from_s = on_surrogate(monitor_->component_of(cls_a, obj_a));
       // Static data lives on the client; object data follows placement.
-      const int to_p =
-          is_static ? 0
-                    : placement_of(monitor_->component_of(cls_b, obj_b));
-      const bool remote = from_p != to_p;
+      const bool to_s =
+          !is_static && on_surrogate(monitor_->component_of(cls_b, obj_b));
+      const bool remote = from_s != to_s;
 
       result_.total_accesses += 1;
       if (remote) {
@@ -290,9 +250,7 @@ void Emulator::replay_event(const TraceEvent& e) {
         result_.remote_bytes += static_cast<std::uint64_t>(bytes);
         const SimDuration cost =
             rpc_cost(static_cast<std::uint64_t>(bytes));
-        const int sp = to_p >= 1 ? to_p : from_p;
-        charge_service(cost, ServiceKind::remote_op,
-                       static_cast<std::size_t>(sp - 1));
+        charge_service(cost, ServiceKind::remote_op);
         result_.comm_time += cost;
       }
 
@@ -315,8 +273,7 @@ void Emulator::replay_event(const TraceEvent& e) {
       // Emulated client heap: total live bytes minus what has been
       // offloaded to the surrogate.
       std::int64_t offloaded = 0;
-      for (const auto& [key, p] : placement_) {
-        if (p == 0) continue;
+      for (const auto& key : offloaded_) {
         if (const auto* node = monitor_->graph().find_node(key)) {
           offloaded += std::max<std::int64_t>(node->mem_bytes, 0);
         }

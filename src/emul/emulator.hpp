@@ -29,7 +29,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "emul/trace.hpp"
@@ -91,13 +91,6 @@ struct EmulatorConfig {
   // non-empty, the trigger offloads exactly the named classes instead of
   // consulting the partitioning policy.
   std::vector<std::string> manual_offload_classes;
-
-  // Number of surrogates one session's offload set may span: the partition
-  // request runs with k = surrogate_parts and the selected set is split
-  // across parts 1..k (placement value p means surrogate part p; 0 stays
-  // the client). 1 is the single-surrogate pipeline, byte-identical to the
-  // pre-pool emulator.
-  std::size_t surrogate_parts = 1;
 };
 
 struct OffloadSnapshot {
@@ -122,12 +115,11 @@ enum class ServiceKind : std::uint8_t {
 class SurrogateService {
  public:
   virtual ~SurrogateService() = default;
-  // Occupies the surrogate serving this session's part `part` (0-based; a
-  // session with surrogate_parts == 1 always passes 0) for `service`
-  // virtual ns beginning no earlier than the session-local time `now`;
-  // returns the queueing delay (0 when that surrogate is idle at `now`).
+  // Occupies the surrogate serving this session for `service` virtual ns
+  // beginning no earlier than the session-local time `now`; returns the
+  // queueing delay (0 when that surrogate is idle at `now`).
   virtual SimDuration acquire(SimTime now, SimDuration service,
-                              ServiceKind kind, std::size_t part) = 0;
+                              ServiceKind kind) = 0;
 };
 
 struct EmulationResult {
@@ -213,24 +205,23 @@ class Emulator {
   }
 
  private:
-  [[nodiscard]] int placement_of(const graph::ComponentKey& key) const {
-    const auto it = placement_.find(key);
-    return it == placement_.end() ? 0 : it->second;
+  [[nodiscard]] bool on_surrogate(const graph::ComponentKey& key) const {
+    return offloaded_.contains(key);
   }
 
   [[nodiscard]] SimDuration rpc_cost(std::uint64_t bytes) const;
   void try_offload(SimTime at, EmulationResult& result);
   void replay_event(const TraceEvent& e);
-  // Serializes `service` on the shared surrogate serving part `part` (when
-  // one is installed) and accumulates the wait into queue_time.
-  void charge_service(SimDuration service, ServiceKind kind,
-                      std::size_t part = 0);
+  // Serializes `service` on the shared surrogate (when one is installed)
+  // and accumulates the wait into queue_time.
+  void charge_service(SimDuration service, ServiceKind kind);
 
   std::shared_ptr<const vm::ClassRegistry> registry_;
   EmulatorConfig config_;
   std::unique_ptr<monitor::ExecutionMonitor> monitor_;
   std::unique_ptr<monitor::ResourceMonitor> resource_;
-  std::unordered_map<graph::ComponentKey, int> placement_;
+  // Components placed on the surrogate; everything else is on the client.
+  std::unordered_set<graph::ComponentKey> offloaded_;
   SurrogateService* service_ = nullptr;
 
   // Emulated heap model.

@@ -4,8 +4,9 @@
 // resource monitor, placement, heap model) over the resumable
 // begin()/step()/finish() API; the fleet driver interleaves them
 // min-virtual-time-first, so the session whose local clock is furthest behind
-// always runs next — a deterministic discrete-event merge of N timelines
-// (ties break toward the lowest session index). All sessions share one
+// always runs next, for a fixed quantum of 256 trace events — a
+// deterministic discrete-event merge of N timelines (ties break toward the
+// lowest session index). All sessions share one
 // surrogate: every unit of surrogate occupancy — remote interactions,
 // surrogate-placed compute, offload migrations — serializes through a single
 // busy-until window, and the wait each op experiences lands in that session's
@@ -27,32 +28,24 @@ namespace aide::emul {
 struct FleetConfig {
   // Per-session emulator configuration (identical across the fleet).
   EmulatorConfig session;
-  // Scheduling quantum: trace events one turn replays before the driver
-  // re-picks the furthest-behind session.
-  std::size_t events_per_turn = 256;
-  // When false, sessions get dedicated surrogates (no queueing; queue_time
-  // stays 0 for everyone) — the "infinite surrogates" baseline.
-  bool shared_surrogate = true;
-  // Number of surrogates the shared pool holds. Each (session, part) pair
-  // binds to one pool member at its first acquire — the member whose busy
-  // window frees earliest, ties to the lowest index — and keeps it for the
-  // run. 1 is the single shared surrogate, byte-identical to the pre-pool
-  // fleet.
+  // Number of surrogates the shared pool holds. Each session binds to one
+  // pool member at its first acquire — the member whose busy window frees
+  // earliest, ties to the lowest index — and keeps it for the run. 1 is the
+  // single shared surrogate, byte-identical to the pre-pool fleet.
   std::size_t pool_size = 1;
-  // Hardware contexts per pool member. Each charge books the member context
-  // that frees earliest (ties to the lowest context index), so a member
-  // retires up to `surrogate_concurrency` sessions' charges in parallel;
-  // the charging session's own timeline still pays its full service. 1 is
-  // the legacy single-context surrogate, byte-identical to the pre-pool
-  // fleet.
+  // Hardware contexts per pool member. A session binds to the member's
+  // earliest-free context (ties to the lowest context index) together with
+  // the member, so a member retires up to `surrogate_concurrency` sessions'
+  // charges in parallel; the charging session's own timeline still pays its
+  // full service. 1 is the legacy single-context surrogate, byte-identical
+  // to the pre-pool fleet.
   std::size_t surrogate_concurrency = 1;
 };
 
-// One lazy (session, part) -> pool member binding, in binding order — the
-// fleet's placement schedule, part of the determinism digest.
+// One lazy session -> pool member binding, in binding order — the fleet's
+// placement schedule, part of the determinism digest.
 struct FleetPlacement {
   std::size_t session = 0;
-  std::size_t part = 0;
   std::size_t surrogate = 0;
   SimTime at = 0;  // session-local virtual time of the first acquire
 };

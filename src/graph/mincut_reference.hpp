@@ -7,6 +7,8 @@
 //     identical candidate sequences and cut weights;
 //   * bench_graph_hotpath measures them live in the same binary as the
 //     "pre-PR baseline" column of BENCH_hotpath.json.
+// It also holds the exponential-time exact minimum cut that the property
+// tests check both Stoer-Wagner implementations against.
 //
 // Do not optimize this file; its value is being the slow-but-obviously-
 // correct oracle.
@@ -25,5 +27,9 @@ namespace aide::graph::reference {
 // std::find-based erase of the contracted vertex.
 [[nodiscard]] GlobalCut stoer_wagner_min_cut(const ExecGraph& graph,
                                              const EdgeWeightFn& weight = {});
+
+// Exponential-time exact minimum cut (n <= 20), test oracle only.
+[[nodiscard]] GlobalCut brute_force_min_cut(const ExecGraph& graph,
+                                            const EdgeWeightFn& weight = {});
 
 }  // namespace aide::graph::reference

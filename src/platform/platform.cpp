@@ -445,11 +445,12 @@ std::optional<OffloadReport> Platform::offload_now(
     return std::nullopt;
   }
 
-  // Assertion mode: the dynamic decision must agree with the static verdict.
-  // A pin root may never offload; with hints enabled the whole pinned
-  // closure may not either. A violation is a partitioner bug, not a policy
-  // outcome — fail loudly.
-  if (config_.assert_static_verdict && analysis_.has_value()) {
+  // Defense in depth: whenever the static analysis ran, the dynamic decision
+  // must agree with its verdict. A pin root may never offload; with hints
+  // enabled the whole pinned closure may not either. A violation is a
+  // partitioner bug, not a policy outcome — fail loudly with
+  // std::logic_error.
+  if (analysis_.has_value()) {
     for (const auto& comp : decision.selected.offload) {
       const bool illegal =
           analysis_->is_pin_root(comp.cls) ||

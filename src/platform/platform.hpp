@@ -137,10 +137,6 @@ struct PlatformConfig {
   // graph is pre-contracted before MINCUT. Off by default: the purely
   // dynamic pipeline stays bit-identical to the paper model.
   bool use_static_hints = false;
-  // Cross-check every runtime migration decision against the static verdict
-  // (defense in depth): offloading a pin root — or, with hints enabled, any
-  // never-migrate class — raises std::logic_error.
-  bool assert_static_verdict = true;
 
   // React to triggers automatically; otherwise only offload_now() offloads.
   bool auto_offload = true;

@@ -15,6 +15,12 @@
 //   * current load         — admitted-session share of max_sessions plus
 //                            the member's offloaded-bytes share of budget.
 //
+// The score is the plain sum of the three terms:
+//
+//   1 / surrogate_speedup
+// + mean-session-srtt-seconds (configured null RTT when unprimed)
+// + live/max_sessions + offloaded-bytes share of budget cap.
+//
 // Lower score wins; ties break to the lowest member index, so placement is
 // a pure function of the pool's observable state. On surrogate death the
 // dead member's sessions are re-placed onto the next-best *surviving* peer
@@ -38,14 +44,6 @@ struct PoolConfig {
   // members[i].surrogate_speedup and its client link members[i].link).
   // Empty is invalid; a single entry is the single-surrogate server.
   std::vector<ServerConfig> members;
-
-  // Placement score term weights. Score =
-  //   w_cpu  * (1 / surrogate_speedup)
-  // + w_link * mean-session-srtt-seconds (configured null RTT when unprimed)
-  // + w_load * (live/max_sessions + offloaded-bytes share of budget cap).
-  double w_cpu = 1.0;
-  double w_link = 1.0;
-  double w_load = 1.0;
 };
 
 // Pool-level accounting. Same flat-uint64 layout contract as ServerStats.

@@ -13,6 +13,12 @@ namespace aide::rpc {
 namespace {
 constexpr std::uint8_t kStatusOk = 0;
 constexpr std::uint8_t kStatusVmError = 1;
+// Growth factor of the retry backoff between attempts.
+constexpr double kBackoffMultiplier = 2.0;
+// Jacobson's RTO: srtt plus this many mean deviations.
+constexpr double kRttDevMultiplier = 4.0;
+// Most not-yet-cached group mates one read-ahead fetch snapshots.
+constexpr std::size_t kPrefetchLimit = 4;
 }  // namespace
 
 Endpoint::Endpoint(vm::Vm& local_vm, netsim::Link& link)
@@ -146,7 +152,7 @@ vm::ObjectRef Endpoint::translate_in(const WireRef& wire) {
 SimDuration Endpoint::effective_timeout() const noexcept {
   if (!retry_.adaptive || !rtt_.primed) return retry_.timeout;
   const auto rto = static_cast<SimDuration>(
-      rtt_.srtt + retry_.rtt_dev_multiplier * rtt_.rttvar);
+      rtt_.srtt + kRttDevMultiplier * rtt_.rttvar);
   return std::clamp(rto, retry_.min_timeout, retry_.timeout);
 }
 
@@ -316,7 +322,7 @@ std::vector<std::uint8_t> Endpoint::transact(ByteWriter request,
     vm_.clock().advance(backoff);
     backoff = std::min(
         static_cast<SimDuration>(static_cast<double>(backoff) *
-                                 retry_.backoff_multiplier),
+                                 kBackoffMultiplier),
         retry_.backoff_max);
   }
 }
@@ -612,7 +618,7 @@ std::optional<vm::Value> Endpoint::fetch_snapshot(ObjectId target,
   std::vector<ObjectId> wanted{target};
   if (const auto git = group_of_.find(target); git != group_of_.end()) {
     for (const ObjectId id : groups_[git->second]) {
-      if (wanted.size() > batch_.prefetch_limit) break;
+      if (wanted.size() > kPrefetchLimit) break;
       if (id == target || snapshots_.contains(id) || vm_.is_local(id)) {
         continue;
       }

@@ -69,7 +69,7 @@ namespace aide::rpc {
 // legacy frame; an empty flush sends nothing.
 //
 // With `read_ahead`, a remote get_field miss fetches a snapshot of the whole
-// target object — plus up to `prefetch_limit` not-yet-cached neighbors from
+// target object — plus up to four not-yet-cached neighbors from
 // its MINCUT partition group — in one frame; subsequent reads of those
 // objects are served locally until the peer next has a chance to execute
 // code (any outgoing invoke, any incoming frame, migration, flush).
@@ -77,7 +77,6 @@ struct BatchPolicy {
   bool enabled = true;
   std::size_t max_ops = 32;
   bool read_ahead = true;
-  std::size_t prefetch_limit = 4;
   // Proven-deep pipelining: while an installed BatchSafetyOracle proves every
   // pair of queued stores commutes, the queue may grow to this depth before a
   // forced flush (values <= max_ops, and the default 0, disable deepening).
@@ -180,16 +179,15 @@ struct RetryPolicy {
   // lost. With `adaptive` set this is the upper bound (and the pre-sample
   // default); the effective timeout follows the RTT estimator.
   SimDuration timeout = sim_ms(50);
-  // Exponential backoff between attempts.
+  // Exponential backoff between attempts: the delay doubles after each lost
+  // attempt, starting at backoff_initial and capped at backoff_max.
   SimDuration backoff_initial = sim_ms(25);
-  double backoff_multiplier = 2.0;
   SimDuration backoff_max = sim_ms(400);
-  // Jacobson-style adaptive timeout: srtt + rtt_dev_multiplier * rttvar,
-  // clamped to [min_timeout, timeout]. Timeouts are only charged on genuine
+  // Jacobson-style adaptive timeout: srtt + 4 * rttvar, clamped to
+  // [min_timeout, timeout]. Timeouts are only charged on genuine
   // delivery failure in this simulation, so adapting can only shorten the
   // stall a failure costs, never cause a spurious abort.
   bool adaptive = true;
-  double rtt_dev_multiplier = 4.0;
   SimDuration min_timeout = sim_ms(2);
 };
 

@@ -4,7 +4,8 @@
 // at the refmap boundary, epoch fencing scoped to one session, per-session
 // stats namespacing), the admission/budget layer, deterministic round-robin
 // scheduling, and the emulated fleet (byte-determinism at N=16, exact
-// single-session parity with the plain emulator).
+// single-session parity with the plain emulator, and per-session binding on
+// a pooled, multi-context surrogate).
 #include <memory>
 #include <vector>
 
@@ -401,6 +402,40 @@ TEST(FleetEmul, ContentionOnlyAddsQueueTime) {
     EXPECT_EQ(s.remote_invocations, r.remote_invocations);
     EXPECT_EQ(s.emulated_time, r.emulated_time + s.queue_time);
   }
+}
+
+TEST(FleetEmul, PooledFleetBindsEachSessionOnceAndIsDeterministic) {
+  const RecordedTrace rec = record_tiny_tracer();
+  emul::FleetConfig cfg = fleet_cfg();
+  cfg.pool_size = 4;
+  cfg.surrogate_concurrency = 2;
+  emul::FleetEmulator fleet(rec.registry, cfg);
+  const emul::FleetResult a = fleet.run(rec.trace, 16);
+  const emul::FleetResult b = fleet.run(rec.trace, 16);
+
+  ASSERT_EQ(a.placements.size(), b.placements.size());
+  for (std::size_t i = 0; i < a.placements.size(); ++i) {
+    EXPECT_EQ(a.placements[i].session, b.placements[i].session);
+    EXPECT_EQ(a.placements[i].surrogate, b.placements[i].surrogate);
+    EXPECT_EQ(a.placements[i].at, b.placements[i].at);
+  }
+  EXPECT_EQ(a.op_latencies, b.op_latencies);
+  EXPECT_EQ(a.surrogate_busy_each, b.surrogate_busy_each);
+  EXPECT_EQ(a.makespan, b.makespan);
+
+  // A session binds to one member at its first acquire and keeps it.
+  ASSERT_FALSE(a.placements.empty());
+  std::vector<int> bound(16, 0);
+  for (const emul::FleetPlacement& p : a.placements) {
+    ASSERT_LT(p.session, 16u);
+    ASSERT_LT(p.surrogate, 4u);
+    EXPECT_EQ(++bound[p.session], 1) << "session " << p.session;
+  }
+
+  ASSERT_EQ(a.surrogate_busy_each.size(), 4u);
+  SimDuration busy = 0;
+  for (const SimDuration d : a.surrogate_busy_each) busy += d;
+  EXPECT_EQ(busy, a.surrogate_busy);
 }
 
 }  // namespace

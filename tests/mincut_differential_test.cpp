@@ -137,7 +137,7 @@ TEST(MincutDifferentialTest, StoerWagnerMatchesBruteForceSmall) {
     Rng rng(seed);
     const ExecGraph g = random_rich_graph(rng, n, 0.6, 0.0);
     const auto sw = stoer_wagner_min_cut(g);
-    const auto bf = brute_force_min_cut(g);
+    const auto bf = reference::brute_force_min_cut(g);
     EXPECT_NEAR(sw.weight, bf.weight, 1e-6 * (1.0 + std::abs(bf.weight)));
   }
 }

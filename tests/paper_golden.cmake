@@ -1,8 +1,8 @@
 # Runs each paper-figure harness in a fresh WORK_DIR and byte-compares its
 # stdout with GOLDEN_DIR/<harness>.stdout, then compares the fig5a.dot and
 # fig5b.dot it wrote with the committed copies in REPO_DIR. Then runs each
-# failure-path bench in JSON_HARNESSES in the same WORK_DIR and compares the
-# JSONS files they wrote with the committed copies in REPO_DIR.
+# bench in JSON_HARNESSES in the same WORK_DIR and compares the JSONS files
+# they wrote with the committed copies in REPO_DIR.
 #
 #   cmake -DWORK_DIR=... -DGOLDEN_DIR=... -DREPO_DIR=... \
 #         "-DHARNESSES=/path/bench_fig5_graph;..." \
