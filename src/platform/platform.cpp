@@ -27,6 +27,15 @@ constexpr std::size_t kMaxReconcileAttempts = 16;
 // (JavaNote pays +174% for it); the credit makes the rebuilt tree the
 // preferred candidate.
 constexpr double kReoffloadGravityCredit = 1.0;
+// Provisional cut. An offload decided on a short execution history (a
+// low-memory rescue during an application's load phase) can predict almost
+// no traffic across its cut while the compute phase that follows re-reads
+// the shipped state every iteration. At most once per window of virtual
+// time the platform divides the cut weight that has crossed the offload set
+// since the offload by the time since, and re-decides once when that rate
+// exceeds the factor times the rate the decision predicted.
+constexpr SimDuration kRevisionWindow = sim_sec(2);
+constexpr double kRevisionFactor = 4.0;
 
 using Mode = Platform::Mode;
 // Indexed by Mode: kLegalEdges[from][to].
@@ -189,6 +198,7 @@ void Platform::tick(NodeId vm, bool gc) {
     // GCs either, so the heartbeat runs on every event. It may leave
     // connected, and so may the recall.
     maybe_heartbeat();
+    if (mode_ == Mode::connected) maybe_revise();
     if (gc && mode_ == Mode::connected) maybe_proactive_recall();
     if (gc && mode_ == Mode::connected && config_.auto_offload &&
         offloads_.size() < offload_budget() && resource_monitor_.triggered()) {
@@ -207,7 +217,10 @@ void Platform::set_mode(Mode to) {
                            kModeNames[from] + " -> " + kModeNames[next]);
   }
   mode_ = to;
+  mode_edges_[from][next] += 1;
   if (to == Mode::connected) return;
+  // The placement the provisional cut described is gone.
+  provisional_.reset();
   // Probing starts one probe_interval from now.
   last_probe_at_ = clock_.now();
   probes_ = 0;
@@ -433,17 +446,53 @@ std::optional<OffloadReport> Platform::offload_now(
   }
   offloading_in_progress_ = true;
 
-  exec_monitor_.prune_dead_components();
   const auto req = make_request(min_free_override);
-  const auto decision =
-      partition::decide_partitioning(exec_monitor_.graph(), req);
-
+  const auto decision = decide(req);
   if (!decision.offload) {
     AIDE_LOG_INFO("platform", "no beneficial partitioning (",
                   decision.candidates_total, " candidates)");
     offloading_in_progress_ = false;
     return std::nullopt;
   }
+
+  OffloadReport report;
+  report.decision = decision;
+  report.at = clock_.now();
+  report.client_heap_used_before = client_->heap().used();
+  if (!migrate_forward(decision.selected.offload, report.objects_migrated,
+                       report.bytes_migrated)) {
+    return std::nullopt;
+  }
+  report.completed_at = clock_.now();
+  report.client_heap_used_after = client_->heap().used();
+
+  AIDE_LOG_INFO("platform", "offloaded ", report.objects_migrated,
+                " objects, ", report.bytes_migrated, " bytes, heap ",
+                report.client_heap_used_before / 1024, "KB -> ",
+                report.client_heap_used_after / 1024, "KB");
+
+  offloads_.push_back(report);
+  last_offload_min_free_ = min_free_override;
+  // Under auto_offload the platform owns placement, so its cut stays
+  // provisional: traffic across it must bear out the rate the decision
+  // predicted from its history. A caller driving offload_now() itself owns
+  // its cuts.
+  if (config_.auto_offload) {
+    provisional_ = ProvisionalCut{
+        decision.selected.offload,
+        decision.selected.cut_weight / sim_to_seconds(req.history_duration),
+        cut_weight_of(decision.selected.offload), report.completed_at,
+        report.completed_at};
+  }
+  offloading_in_progress_ = false;
+  return report;
+}
+
+partition::PartitionDecision Platform::decide(
+    const partition::PartitionRequest& req) {
+  exec_monitor_.prune_dead_components();
+  auto decision = partition::decide_partitioning(exec_monitor_.graph(), req);
+  if (!decision.offload) return decision;
 
   // Defense in depth: whenever the static analysis ran, the dynamic decision
   // must agree with its verdict. A pin root may never offload; with hints
@@ -464,14 +513,19 @@ std::optional<OffloadReport> Platform::offload_now(
       }
     }
   }
+  return decision;
+}
 
+bool Platform::migrate_forward(
+    const std::unordered_set<graph::ComponentKey>& offload,
+    std::size_t& objects, std::uint64_t& bytes) {
   // Gather the client-resident objects of every selected component. The
   // monitor's component mapping respects the granularity policy: an
   // object-granularity array moves alone; a class component moves all of its
   // (class-mapped) objects.
   std::vector<ObjectId> to_move;
   std::vector<std::vector<ObjectId>> groups;
-  for (const auto& comp : decision.selected.offload) {
+  for (const auto& comp : offload) {
     std::vector<ObjectId> members;
     if (comp.is_object_granularity()) {
       if (client_->is_local(comp.object)) members.push_back(comp.object);
@@ -489,42 +543,98 @@ std::optional<OffloadReport> Platform::offload_now(
     if (members.size() > 1) groups.push_back(std::move(members));
   }
   std::sort(to_move.begin(), to_move.end());
+  if (to_move.empty()) return true;
 
-  OffloadReport report;
-  report.decision = decision;
-  report.at = clock_.now();
-  report.client_heap_used_before = client_->heap().used();
-  if (!to_move.empty()) {
-    try {
-      report.bytes_migrated = client_ep_->migrate_objects(to_move);
-    } catch (const PeerUnavailable&) {
-      // The surrogate died under the migration. migrate_objects already put
-      // the batch wherever it authoritatively lives; reclaim it and carry on
-      // fully local.
-      offloading_in_progress_ = false;
-      handle_peer_failure();
-      return std::nullopt;
+  try {
+    bytes = client_ep_->migrate_objects(to_move);
+  } catch (const PeerUnavailable&) {
+    // The surrogate died under the migration. migrate_objects already put
+    // the batch wherever it authoritatively lives; reclaim it and carry on
+    // fully local.
+    offloading_in_progress_ = false;
+    handle_peer_failure();
+    return false;
+  }
+  objects = to_move.size();
+  // Seed the client transport's read-ahead with the colocation groups this
+  // decision just shipped: a remote get against one member prefetches the
+  // neighbors it will be accessed with.
+  client_ep_->set_prefetch_groups(std::move(groups));
+  return true;
+}
+
+double Platform::cut_weight_of(
+    const std::unordered_set<graph::ComponentKey>& offload) const {
+  double weight = 0.0;
+  for (const auto& [key, edge] : exec_monitor_.graph().edges()) {
+    if (offload.contains(key.a) != offload.contains(key.b)) {
+      weight += config_.edge_weight(edge);
     }
   }
-  report.objects_migrated = to_move.size();
-  if (!to_move.empty()) {
-    // Seed the client transport's read-ahead with the colocation groups this
-    // decision just shipped: a remote get against one member prefetches the
-    // neighbors it will be accessed with.
-    client_ep_->set_prefetch_groups(std::move(groups));
+  return weight;
+}
+
+void Platform::maybe_revise() {
+  if (!provisional_.has_value() ||
+      clock_.now() - provisional_->checked_at < kRevisionWindow) {
+    return;
   }
-  report.completed_at = clock_.now();
-  report.client_heap_used_after = client_->heap().used();
+  provisional_->checked_at = clock_.now();
+  const double measured_rate =
+      (cut_weight_of(provisional_->offload) - provisional_->cut_at) /
+      sim_to_seconds(clock_.now() - provisional_->at);
+  if (measured_rate > kRevisionFactor * provisional_->predicted_rate) {
+    revise(measured_rate);
+  }
+}
 
-  AIDE_LOG_INFO("platform", "offloaded ", report.objects_migrated,
-                " objects, ", report.bytes_migrated, " bytes, heap ",
-                report.client_heap_used_before / 1024, "KB -> ",
-                report.client_heap_used_after / 1024, "KB");
+void Platform::revise(double measured_rate) {
+  offloading_in_progress_ = true;
+  // Filled in place: nothing below appends to revisions_ (revise() runs
+  // inside tick(), which does not reenter).
+  RevisionReport& report = revisions_.emplace_back();
+  report.at = clock_.now();
+  report.predicted_rate = provisional_->predicted_rate;
+  report.measured_rate = measured_rate;
+  // One revision per offload: whatever it decides is final.
+  provisional_.reset();
+  report.decision = decide(make_request(last_offload_min_free_));
+  const auto& offload = report.decision.selected.offload;
+  // No beneficial cut keeps the current one; a failed forward leg already
+  // ran handle_peer_failure.
+  if (!report.decision.offload ||
+      !migrate_forward(offload, report.objects_forward,
+                       report.bytes_forward)) {
+    offloading_in_progress_ = false;
+    return;
+  }
 
-  offloads_.push_back(report);
-  last_offload_min_free_ = min_free_override;
+  // Pull back what the revised cut keeps on the client (sorted: the
+  // migration order is part of every downstream byte).
+  std::vector<ObjectId> back;
+  surrogate_->heap().for_each([&](const vm::Object& o) {
+    if (!offload.contains(exec_monitor_.component_of(o.cls, o.id))) {
+      back.push_back(o.id);
+    }
+  });
+  std::sort(back.begin(), back.end());
+  if (!back.empty()) {
+    try {
+      report.bytes_back = surrogate_ep_->migrate_objects(back);
+      report.objects_back = back.size();
+    } catch (const PeerUnavailable&) {
+      // As for the forward leg: migrate_objects left the batch wherever it
+      // authoritatively lives; the failure path takes it from here.
+      offloading_in_progress_ = false;
+      handle_peer_failure();
+      return;
+    }
+  }
+  AIDE_LOG_INFO("platform", "revised provisional cut (predicted ",
+                report.predicted_rate, "/s, measured ", measured_rate,
+                "/s): ", report.objects_forward, " objects forward, ",
+                report.objects_back, " back");
   offloading_in_progress_ = false;
-  return report;
 }
 
 // --- disconnected operation ----------------------------------------------------

@@ -14,9 +14,13 @@
 // successive low-memory GC reports) or an allocation would fail outright, the
 // platform partitions the execution graph and migrates the selected
 // components' objects to the surrogate. Execution then transparently follows
-// the objects.
+// the objects. A cut the platform chose itself stays provisional: if the
+// traffic crossing it outruns the rate its decision predicted, the platform
+// re-decides once on the longer history and migrates the difference both
+// ways (revisions()).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -138,7 +142,8 @@ struct PlatformConfig {
   // dynamic pipeline stays bit-identical to the paper model.
   bool use_static_hints = false;
 
-  // React to triggers automatically; otherwise only offload_now() offloads.
+  // React to triggers automatically and revise provisional cuts; otherwise
+  // only offload_now() offloads, and the cuts it makes are final.
   bool auto_offload = true;
   // The paper's prototype "performs a single offloading from a client device
   // to a single surrogate server".
@@ -190,6 +195,21 @@ struct RecallReport {
   SimTime at = 0;
   std::size_t objects = 0;
   std::uint64_t bytes = 0;
+};
+
+// One revision of a provisional cut: the cut weight measured across an
+// offload's set outran the rate its decision predicted, so the partitioner
+// re-ran on the populated execution graph and the difference migrated both
+// ways.
+struct RevisionReport {
+  SimTime at = 0;
+  double predicted_rate = 0.0;  // cut weight per second the offload predicted
+  double measured_rate = 0.0;   // cut weight per second measured since then
+  partition::PartitionDecision decision;
+  std::size_t objects_forward = 0;  // client -> surrogate
+  std::uint64_t bytes_forward = 0;
+  std::size_t objects_back = 0;     // surrogate -> client
+  std::uint64_t bytes_back = 0;
 };
 
 class Platform : private vm::VmHooks {
@@ -244,6 +264,11 @@ class Platform : private vm::VmHooks {
     return offloads_;
   }
   [[nodiscard]] bool offloaded() const noexcept { return !offloads_.empty(); }
+  // Revisions of provisional cuts, at most one per offload; they do not
+  // count against max_offloads.
+  [[nodiscard]] const std::vector<RevisionReport>& revisions() const noexcept {
+    return revisions_;
+  }
 
   // --- link state -----------------------------------------------------------
   //
@@ -259,6 +284,12 @@ class Platform : private vm::VmHooks {
   }
   [[nodiscard]] bool disconnected() const noexcept {
     return mode_ == Mode::disconnected;
+  }
+  // How often each edge was taken, indexed [from][to] by Mode; only the
+  // four legal edges can be non-zero.
+  using ModeEdgeCounts = std::array<std::array<std::size_t, 3>, 3>;
+  [[nodiscard]] const ModeEdgeCounts& mode_edges() const noexcept {
+    return mode_edges_;
   }
 
   [[nodiscard]] const std::vector<FailureReport>& failures() const noexcept {
@@ -315,8 +346,9 @@ class Platform : private vm::VmHooks {
   void on_gc(NodeId vm, const vm::GcReport& report) override;
   void on_invoke(const vm::InvokeEvent& ev) override;
   void on_access(const vm::AccessEvent& ev) override;
-  // Connected: heartbeat, plus (on GC only) proactive recall and the
-  // offload trigger. Disconnected or dead: the reconnect probe.
+  // Connected: heartbeat and the provisional-cut check, plus (on GC only)
+  // proactive recall and the offload trigger. Disconnected or dead: the
+  // reconnect probe.
   void tick(NodeId vm, bool gc);
 
   // The only writer of mode_: checks the edge against the legal-edge table
@@ -348,6 +380,25 @@ class Platform : private vm::VmHooks {
   bool low_memory_rescue(vm::Vm& vm);
   [[nodiscard]] partition::PartitionRequest make_request(
       std::optional<std::int64_t> min_free_override) const;
+  // Runs the partitioner on the pruned execution graph and checks its choice
+  // against the static verdict (std::logic_error on a pinned class).
+  [[nodiscard]] partition::PartitionDecision decide(
+      const partition::PartitionRequest& req);
+  // Ships the client-resident objects of every component in `offload` to
+  // the surrogate and seeds the read-ahead groups with them. Returns false
+  // when the surrogate died under the migration (handle_peer_failure ran).
+  bool migrate_forward(const std::unordered_set<graph::ComponentKey>& offload,
+                       std::size_t& objects, std::uint64_t& bytes);
+  // Cumulative policy cut weight on the execution graph between `offload`
+  // and everything else.
+  [[nodiscard]] double cut_weight_of(
+      const std::unordered_set<graph::ComponentKey>& offload) const;
+  // Once per window, compares the open provisional cut's measured cut rate
+  // with its prediction and runs revise() when it is far off.
+  void maybe_revise();
+  // Re-decides the provisional cut on the populated graph and migrates the
+  // difference: newly selected components forward, deselected ones back.
+  void revise(double measured_rate);
   // The verify-layer hints when effect_verify ran (a superset of the
   // metadata-only ones), else the aidelint hints, else null.
   [[nodiscard]] const analysis::StaticHints* static_hints() const noexcept;
@@ -371,6 +422,18 @@ class Platform : private vm::VmHooks {
   monitor::ResourceMonitor resource_monitor_;
 
   std::vector<OffloadReport> offloads_;
+  std::vector<RevisionReport> revisions_;
+  // The latest offload's cut while it is still provisional: open from a
+  // successful offload_now() until it is revised or the link leaves
+  // connected. `cut_at` is the set's cumulative cut weight at the offload.
+  struct ProvisionalCut {
+    std::unordered_set<graph::ComponentKey> offload;
+    double predicted_rate = 0.0;
+    double cut_at = 0.0;
+    SimTime at = 0;
+    SimTime checked_at = 0;
+  };
+  std::optional<ProvisionalCut> provisional_;
   std::vector<FailureReport> failures_;
   std::vector<ReadmissionReport> readmissions_;
   bool offloading_in_progress_ = false;
@@ -381,6 +444,7 @@ class Platform : private vm::VmHooks {
   // connected: probes_ counts probes sent, reconcile_attempts_ the
   // delivered ones that ran reconcile() in this disconnection episode.
   Mode mode_ = Mode::connected;
+  ModeEdgeCounts mode_edges_{};
   SimTime last_probe_at_ = 0;
   std::size_t probes_ = 0;
   std::size_t reconcile_attempts_ = 0;

@@ -17,6 +17,10 @@
 //     forward to a state whose final output is byte-identical to the
 //     standalone run, with no stub left dangling on the client.
 //
+//   * ModeEdgeCoverageTest — one schedule per way of leaving connected
+//     (death, death then re-admission, a flapping partition) must take each
+//     of Platform::Mode's four legal edges between them.
+//
 // This binary owns its main(): `chaos_test --smoke` runs a 5-schedule subset
 // (the ctest / CI configuration); the bare binary runs the full 25-schedule
 // sweep.
@@ -25,6 +29,7 @@
 #include <algorithm>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.hpp"
@@ -126,17 +131,17 @@ struct Outcome {
   std::size_t reconcile_count = 0;
   rpc::ReconcileTrace reconcile;  // first reconcile attempt's trace
   std::size_t log_entries_left = 0;
+  platform::Platform::ModeEdgeCounts edges{};
 };
 
 Outcome run(const apps::AppInfo& app, const apps::AppParams& params,
             const netsim::FaultPlan& plan, bool disconnect = false,
-            SimDuration heartbeat = 0) {
+            SimDuration heartbeat = 0, bool readmit = false) {
   auto cfg = chaos_config();
   cfg.fault_plan = plan;
-  if (disconnect) {
-    cfg.disconnect.enabled = true;
-    cfg.disconnect.probe_interval = sim_ms(20);
-  }
+  if (disconnect || readmit) cfg.disconnect.probe_interval = sim_ms(20);
+  cfg.disconnect.enabled = disconnect;
+  cfg.disconnect.readmit = readmit;
   // Several apps run long stretches with zero demanded wire traffic (reads
   // served from snapshots, writes deferred), so a quiet-window outage is
   // invisible to the detector until something transmits. The fault-bearing
@@ -176,6 +181,7 @@ Outcome run(const apps::AppInfo& app, const apps::AppParams& params,
     o.reconcile = p.client_endpoint().reconciles().front();
   }
   o.log_entries_left = p.disconnect_log().entries();
+  o.edges = p.mode_edges();
   return o;
 }
 
@@ -523,6 +529,60 @@ TEST(DisconnectDeterminismTest, SameFlapScheduleReproducesIdenticalRuns) {
   EXPECT_TRUE(a.link == b.link);
   EXPECT_TRUE(a.client == b.client);
   EXPECT_TRUE(a.surrogate == b.surrogate);
+}
+
+TEST(ModeEdgeCoverageTest, FailureFamiliesTakeEveryLegalEdge) {
+  // One schedule per way of leaving connected: permanent death, death then
+  // re-admission, and a flapping partition under disconnected operation.
+  // Together they must take each of Platform::Mode's four legal edges, and
+  // nothing else.
+  using Mode = platform::Platform::Mode;
+  const auto& app = apps::app_by_name("Dia");
+  const auto params = chaos_params();
+  const std::uint64_t expected = standalone_checksum(app, params);
+  const Outcome probe = run(app, params, netsim::FaultPlan{});
+  ASSERT_TRUE(probe.migration.committed);
+  const SimTime after = probe.migration.commit_acked + 1;
+
+  netsim::FaultPlan death;
+  death.dead_after = after + (probe.end - after) / 2;
+  netsim::FaultPlan outage;
+  outage.outages.push_back({after, after + sim_ms(500)});
+  const netsim::FaultPlan flap =
+      netsim::make_flap_plan(after, sim_ms(400), sim_ms(1500));
+  const Outcome runs[] = {
+      run(app, params, death),
+      run(app, params, outage, false, kBeat, true),
+      run(app, params, flap, true, kBeat),
+  };
+
+  platform::Platform::ModeEdgeCounts taken{};
+  for (const Outcome& o : runs) {
+    EXPECT_EQ(o.checksum, expected);
+    for (std::size_t from = 0; from < 3; ++from) {
+      for (std::size_t to = 0; to < 3; ++to) {
+        taken[from][to] += o.edges[from][to];
+      }
+    }
+  }
+  const auto idx = [](Mode m) { return static_cast<std::size_t>(m); };
+  const std::pair<Mode, Mode> legal[] = {
+      {Mode::connected, Mode::disconnected},
+      {Mode::connected, Mode::dead},
+      {Mode::disconnected, Mode::connected},
+      {Mode::dead, Mode::connected},
+  };
+  std::size_t legal_total = 0;
+  for (const auto& [from, to] : legal) {
+    EXPECT_GE(taken[idx(from)][idx(to)], 1u)
+        << "edge " << idx(from) << " -> " << idx(to) << " never taken";
+    legal_total += taken[idx(from)][idx(to)];
+  }
+  std::size_t total = 0;
+  for (const auto& row : taken) {
+    for (const std::size_t n : row) total += n;
+  }
+  EXPECT_EQ(total, legal_total);
 }
 
 class ReconcileCrashPointSweepTest

@@ -27,7 +27,7 @@ namespace {
 std::shared_ptr<vm::ClassRegistry> rec_registry() {
   auto reg = std::make_shared<vm::ClassRegistry>();
   vm::ClassBuilder cb("Rec");
-  for (int f = 0; f < 4; ++f) cb.field("f" + std::to_string(f));
+  for (const char* name : {"f0", "f1", "f2", "f3"}) cb.field(name);
   reg->register_class(cb.build());
   return reg;
 }

@@ -4,16 +4,21 @@
 //     with AIDE, offloading most of the heap at low predicted bandwidth),
 //   * trigger-driven (not just rescue-driven) offloading,
 //   * the prototype -> trace -> emulator pipeline consistency,
-//   * distributed GC across an application-scale object graph.
+//   * distributed GC across an application-scale object graph,
+//   * the provisional cut: an offload decided before the execution graph had
+//     any history is re-decided once real traffic crosses it (the Biomer
+//     cliff), and an informed one is left alone.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "apps/apps.hpp"
 #include "apps/stdlib.hpp"
 #include "common/error.hpp"
 #include "emul/emulator.hpp"
 #include "emul/recorder.hpp"
+#include "netsim/link.hpp"
 #include "platform/platform.hpp"
 #include "vm/vm.hpp"
 
@@ -217,6 +222,214 @@ TEST(StressIntegrationTest, ManyOffloadCyclesStayConsistent) {
     EXPECT_EQ(client.call(list, "get", {vm::Value{i}}).as_int(),
               (i / 20) * 100 + (i % 20));
   }
+}
+
+// --- provisional cut -----------------------------------------------------------
+
+// The application alone on one generous VM: the transparency reference.
+std::uint64_t local_checksum(const apps::AppInfo& app,
+                             std::shared_ptr<const vm::ClassRegistry> reg,
+                             const apps::AppParams& params) {
+  SimClock clock;
+  vm::VmConfig cfg;
+  cfg.heap_capacity = 64 << 20;
+  vm::Vm vm(cfg, std::move(reg), clock);
+  return app.run(vm, params);
+}
+
+struct LiveRun {
+  std::uint64_t checksum = 0;
+  std::uint64_t reference = 0;
+  SimTime end = 0;
+  std::uint64_t link_bytes = 0;
+  std::vector<platform::OffloadReport> offloads;
+  std::vector<platform::RevisionReport> revisions;
+  std::vector<platform::ReadmissionReport> readmissions;
+  std::vector<platform::DisconnectReport> disconnects;
+  platform::Platform::Mode mode = platform::Platform::Mode::connected;
+  platform::Platform::ModeEdgeCounts edges{};
+  std::size_t failures = 0;
+  std::size_t stub_count = 0;
+  std::vector<rpc::MigrationTrace> forward;  // client -> surrogate
+  std::vector<rpc::MigrationTrace> back;     // surrogate -> client
+};
+
+// Offloads at the client's second GC, whatever the trigger says, so a run
+// with a generous heap still gets an offload decided on almost no history.
+class EarlyOffload : public vm::VmHooks {
+ public:
+  explicit EarlyOffload(platform::Platform& p) : p_(p) {}
+  void on_gc(NodeId node, const vm::GcReport&) override {
+    if (node != NodeId{1} || ++cycles_ < 2) return;
+    if (p_.offloaded() || p_.mode() != platform::Platform::Mode::connected) {
+      return;
+    }
+    p_.offload_now(std::int64_t{1});
+  }
+
+ private:
+  platform::Platform& p_;
+  int cycles_ = 0;
+};
+
+LiveRun run_live(const char* name, const apps::AppParams& params,
+                 const platform::PlatformConfig& cfg,
+                 bool early_offload = false) {
+  const auto& app = apps::app_by_name(name);
+  auto reg = std::make_shared<vm::ClassRegistry>();
+  app.register_classes(*reg);
+  LiveRun r;
+  r.reference = local_checksum(app, reg, params);
+  platform::Platform p(reg, cfg);
+  EarlyOffload early(p);
+  if (early_offload) p.client().add_hooks(&early);
+  r.checksum = app.run(p.client(), params);
+  if (early_offload) p.client().remove_hooks(&early);
+  r.end = p.elapsed();
+  r.link_bytes = p.link().stats().bytes;
+  r.offloads = p.offloads();
+  r.revisions = p.revisions();
+  r.readmissions = p.readmissions();
+  r.disconnects = p.disconnects();
+  r.mode = p.mode();
+  r.edges = p.mode_edges();
+  r.failures = p.failures().size();
+  r.stub_count = p.client().stub_count();
+  r.forward = p.client_endpoint().migrations();
+  r.back = p.surrogate_endpoint().migrations();
+  return r;
+}
+
+// The paper's setup (6 MB heap, default trigger, WaveLAN) at `scale`.
+LiveRun run_paper(const char* name, double scale,
+                  platform::PlatformConfig cfg = {}) {
+  apps::AppParams params;
+  params.scale = scale;
+  return run_live(name, params, cfg);
+}
+
+TEST(ProvisionalCutTest, BlindBiomerOffloadIsRevisedOffTheCliff) {
+  // Above ~1.027x paper size Biomer's load phase exhausts the heap before
+  // any compute is charged, so the rescue offload is decided on a 5-node
+  // graph with no traffic across its cut. Left alone it ships the
+  // minimizer's data away from the code that re-reads it every iteration
+  // and takes 1250.7 s; revised once, it lands near the 1.0x run.
+  const LiveRun paper = run_paper("Biomer", 1.0);
+  const LiveRun cliff = run_paper("Biomer", 1.04);
+  EXPECT_EQ(cliff.checksum, cliff.reference);
+  ASSERT_EQ(cliff.offloads.size(), 1u);
+  EXPECT_EQ(cliff.offloads[0].decision.selected.cut_weight, 0.0);
+  ASSERT_EQ(cliff.revisions.size(), 1u);
+  const platform::RevisionReport& rev = cliff.revisions[0];
+  EXPECT_EQ(rev.predicted_rate, 0.0);
+  EXPECT_GT(rev.measured_rate, 0.0);
+  EXPECT_TRUE(rev.decision.offload);
+  EXPECT_GT(rev.objects_forward, 0u);
+  // Checked once per 2 s window after the blind migration completed.
+  EXPECT_GE(rev.at, cliff.offloads[0].completed_at + sim_sec(2));
+  EXPECT_LE(sim_to_seconds(cliff.end), 1.2 * sim_to_seconds(paper.end));
+  EXPECT_LT(cliff.link_bytes, 2 * paper.link_bytes);
+}
+
+TEST(ProvisionalCutTest, InformedOffloadsAreNeverRevised) {
+  // End time and link bytes of each run before cuts became provisional: an
+  // offload whose cut traffic bears out its prediction must not move.
+  struct Case {
+    const char* app;
+    double scale;
+    SimTime end;
+    std::uint64_t link_bytes;
+  };
+  const Case cases[] = {
+      {"JavaNote", 1.0, 143'653'377'799, 8'540'054},
+      {"Dia", 1.0, 168'846'085'250, 7'371'690},
+      {"Biomer", 1.0, 178'163'308'066, 10'010'570},
+      {"JavaNote", 1.1, 153'439'883'723, 9'357'020},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.app) + " at " + std::to_string(c.scale));
+    const LiveRun r = run_paper(c.app, c.scale);
+    EXPECT_EQ(r.checksum, r.reference);
+    EXPECT_EQ(r.offloads.size(), 1u);
+    EXPECT_TRUE(r.revisions.empty());
+    EXPECT_EQ(r.end, c.end);
+    EXPECT_EQ(r.link_bytes, c.link_bytes);
+  }
+}
+
+TEST(ProvisionalCutTest, LinkDeathMidRevisionRollsBackOrAdopts) {
+  // JavaNote offloaded at its second GC on a heap that could hold it all:
+  // the blind cut ships 5 objects, and the revision moves the editor's
+  // working set both ways. Killing the link at each message boundary of
+  // either leg must end dead, fully local and byte-identical.
+  auto params = reduced_params();
+  platform::PlatformConfig cfg;
+  cfg.client_heap = 64 << 20;
+  cfg.client_gc_alloc_count_threshold = 4;
+  cfg.client_gc_alloc_bytes_divisor = 512;
+  const LiveRun probe = run_live("JavaNote", params, cfg, true);
+  ASSERT_EQ(probe.checksum, probe.reference);
+  ASSERT_EQ(probe.revisions.size(), 1u);
+  ASSERT_GT(probe.revisions[0].objects_forward, 0u);
+  ASSERT_GT(probe.revisions[0].objects_back, 0u);
+  ASSERT_EQ(probe.forward.size(), 2u);
+  ASSERT_EQ(probe.back.size(), 1u);
+  const rpc::MigrationTrace& fwd = probe.forward[1];
+  const rpc::MigrationTrace& back = probe.back[0];
+
+  const SimTime kill_points[] = {
+      fwd.begin + 1,           // forward PREPARE in flight
+      fwd.prepare_acked + 1,   // forward COMMIT applied, unacked
+      back.begin + 1,          // pull-back PREPARE in flight
+      back.prepare_acked + 1,  // pull-back COMMIT applied, unacked
+  };
+  for (const SimTime at : kill_points) {
+    SCOPED_TRACE("link dead after " + std::to_string(at));
+    platform::PlatformConfig faulty = cfg;
+    faulty.fault_plan.dead_after = at;
+    const LiveRun r = run_live("JavaNote", params, faulty, true);
+    EXPECT_EQ(r.checksum, r.reference);
+    EXPECT_EQ(r.mode, platform::Platform::Mode::dead);
+    EXPECT_EQ(r.failures, 1u);
+    EXPECT_EQ(r.revisions.size(), 1u);
+    EXPECT_EQ(r.stub_count, 0u);
+    EXPECT_EQ(r.edges[0][2], 1u);  // connected -> dead, once
+  }
+}
+
+TEST(ProvisionalCutTest, ReAdmittedOffloadGetsAFreshWindow) {
+  // The blind offload is revised at ~6.5 s; a 1 s outage at 10 s kills the
+  // surrogate. Re-admission re-offloads, and that offload is provisional
+  // again: it is checked, and revised, on its own.
+  platform::PlatformConfig cfg;
+  cfg.disconnect.readmit = true;
+  cfg.fault_plan.outages.push_back({sim_sec(10), sim_sec(11)});
+  const LiveRun r = run_paper("Biomer", 1.04, cfg);
+  EXPECT_EQ(r.checksum, r.reference);
+  ASSERT_EQ(r.readmissions.size(), 1u);
+  ASSERT_EQ(r.offloads.size(), 2u);
+  ASSERT_EQ(r.revisions.size(), 2u);
+  EXPECT_LT(r.revisions[0].at, r.readmissions[0].at);
+  EXPECT_GE(r.revisions[1].at, r.offloads[1].completed_at + sim_sec(2));
+  EXPECT_EQ(r.mode, platform::Platform::Mode::connected);
+}
+
+TEST(ProvisionalCutTest, ReconciledOffloadGetsAFreshWindow) {
+  // The same outage under disconnected operation: reconcile re-offloads,
+  // and that offload gets its own window.
+  platform::PlatformConfig cfg;
+  cfg.disconnect.enabled = true;
+  cfg.heartbeat.idle_after = sim_ms(100);
+  cfg.fault_plan.outages.push_back({sim_sec(10), sim_sec(11)});
+  const LiveRun r = run_paper("Biomer", 1.04, cfg);
+  EXPECT_EQ(r.checksum, r.reference);
+  ASSERT_EQ(r.disconnects.size(), 1u);
+  ASSERT_TRUE(r.disconnects[0].resumed);
+  ASSERT_EQ(r.offloads.size(), 2u);
+  ASSERT_EQ(r.revisions.size(), 2u);
+  EXPECT_LT(r.revisions[0].at, r.disconnects[0].at);
+  EXPECT_GE(r.revisions[1].at, r.offloads[1].completed_at + sim_sec(2));
+  EXPECT_EQ(r.mode, platform::Platform::Mode::connected);
 }
 
 }  // namespace

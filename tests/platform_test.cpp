@@ -1,7 +1,8 @@
 // Tests for the AIDE platform: automatic trigger-driven offloading, the
 // forced (allocation-failure) rescue path, the beneficial-offloading
 // decision, the single-offload prototype behaviour, enhancement plumbing,
-// and the surrogate registry's ad-hoc selection.
+// the provisional cut's two-way revision, and the surrogate registry's
+// ad-hoc selection.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -259,6 +260,105 @@ TEST(PlatformFailureTest, FailureMarksAttachedRegistryEntryDead) {
   reg.advertise(near_srv);
   EXPECT_FALSE(reg.is_dead(near_srv.id));
   EXPECT_EQ(reg.select()->name, "near");
+}
+
+// --- provisional cut -----------------------------------------------------------
+
+// A pinned Screen whose native show(model) re-reads both fields of a Model,
+// and a Worker whose step(store) bumps a Store: two pairs that never talk
+// to each other.
+std::shared_ptr<vm::ClassRegistry> make_screen_registry() {
+  auto reg = std::make_shared<vm::ClassRegistry>();
+  reg->register_class(vm::ClassBuilder("Model").field("a").field("b").build());
+  reg->register_class(vm::ClassBuilder("Store").field("n").build());
+  reg->register_class(
+      vm::ClassBuilder("Screen")
+          .native_method("show",
+                         [](vm::Vm& ctx, ObjectRef, auto args) -> Value {
+                           const ObjectRef model = test::arg(args, 0).as_ref();
+                           return Value{
+                               ctx.get_field(model, FieldId{0}).as_int() +
+                               ctx.get_field(model, FieldId{1}).as_int()};
+                         })
+          .build());
+  reg->register_class(
+      vm::ClassBuilder("Worker")
+          .method("step",
+                  [](vm::Vm& ctx, ObjectRef, auto args) -> Value {
+                    const ObjectRef store = test::arg(args, 0).as_ref();
+                    const Value n = ctx.get_field(store, FieldId{0});
+                    const std::int64_t v = (n.is_int() ? n.as_int() : 0) + 1;
+                    ctx.put_field(store, FieldId{0}, Value{v});
+                    return Value{v};
+                  })
+          .build());
+  return reg;
+}
+
+TEST(ProvisionalCutTest, RevisionMovesTheDifferenceBothWays) {
+  Platform p(make_screen_registry(), small_config());
+  vm::Vm& client = p.client();
+  const ObjectRef screen = client.new_object("Screen");
+  const ObjectRef model = client.new_object("Model");
+  const ObjectRef worker = client.new_object("Worker");
+  const ObjectRef store = client.new_object("Store");
+  for (const ObjectRef r : {screen, model, worker, store}) client.add_root(r);
+  client.put_field(model, FieldId{0}, Value{1});
+  client.put_field(model, FieldId{1}, Value{2});
+
+  // Decided before any interaction: every cut costs 0, so the first
+  // candidate wins and everything but the pinned Screen moves.
+  const auto blind = p.offload_now(std::int64_t{1});
+  ASSERT_TRUE(blind.has_value());
+  EXPECT_EQ(blind->decision.selected.cut_weight, 0.0);
+  ASSERT_FALSE(client.is_local(model.id));
+  ASSERT_FALSE(client.is_local(worker.id));
+
+  // The Screen re-reads its Model across the link every 100 ms; the Worker
+  // and its Store talk only to each other on the surrogate.
+  std::int64_t shown = 0;
+  for (int i = 0; i < 40; ++i) {
+    shown += client.call(screen, "show", {Value{model}}).as_int();
+    client.call(worker, "step", {Value{store}});
+    client.work(sim_ms(100));
+  }
+  EXPECT_EQ(shown, 40 * 3);
+  ASSERT_EQ(p.revisions().size(), 1u);
+  const RevisionReport& rev = p.revisions()[0];
+  EXPECT_EQ(rev.predicted_rate, 0.0);
+  EXPECT_GT(rev.measured_rate, 0.0);
+  EXPECT_EQ(rev.objects_forward, 0u);
+  EXPECT_EQ(rev.objects_back, 1u);
+  EXPECT_GT(rev.bytes_back, 0u);
+  // The Model came home to the Screen; the Worker pair stayed out.
+  EXPECT_TRUE(client.is_local(model.id));
+  EXPECT_FALSE(client.is_local(worker.id));
+  EXPECT_FALSE(client.is_local(store.id));
+  EXPECT_EQ(client.call(worker, "step", {Value{store}}).as_int(), 41);
+  // A revision is not an offload: the budget is untouched.
+  EXPECT_EQ(p.offloads().size(), 1u);
+}
+
+TEST(ProvisionalCutTest, CallerDrivenCutsAreFinal) {
+  // Without auto_offload the caller owns placement: the same blind cut and
+  // the same traffic leave the Model where offload_now() put it.
+  auto cfg = small_config();
+  cfg.auto_offload = false;
+  Platform p(make_screen_registry(), cfg);
+  vm::Vm& client = p.client();
+  const ObjectRef screen = client.new_object("Screen");
+  const ObjectRef model = client.new_object("Model");
+  client.add_root(screen);
+  client.add_root(model);
+  client.put_field(model, FieldId{0}, Value{1});
+  client.put_field(model, FieldId{1}, Value{2});
+  ASSERT_TRUE(p.offload_now(std::int64_t{1}).has_value());
+  for (int i = 0; i < 40; ++i) {
+    client.call(screen, "show", {Value{model}});
+    client.work(sim_ms(100));
+  }
+  EXPECT_TRUE(p.revisions().empty());
+  EXPECT_FALSE(client.is_local(model.id));
 }
 
 TEST(SurrogateRegistryTest, SelectsLowestLatency) {

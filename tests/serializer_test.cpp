@@ -312,9 +312,15 @@ FuzzFrame make_fuzz_frame(Rng& rng) {
   f.epoch = static_cast<std::uint32_t>(rng.next_below(1 << 20));
   f.seq = rng.next_u64() >> 8;
   const auto count = 1 + rng.next_below(8);
+  // The batch opcode byte (opaque to the framing layer), then the op count.
+  // The count is encoded in its own writer and appended whole: GCC 12 reads
+  // a u32 appended straight after the first push_back into a fresh vector as
+  // a write past its one-byte buffer (-Warray-bounds).
   ByteWriter w;
-  w.write_u8(16);  // the batch opcode byte; opaque to the framing layer
-  w.write_u32(static_cast<std::uint32_t>(count));
+  w.write_u8(16);
+  ByteWriter count_bytes;
+  count_bytes.write_u32(static_cast<std::uint32_t>(count));
+  w.write_bytes(count_bytes.data());
   for (std::uint64_t i = 0; i < count; ++i) {
     std::vector<std::uint8_t> op(rng.next_below(100));
     for (auto& b : op) b = static_cast<std::uint8_t>(rng.next_below(256));
