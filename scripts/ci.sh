@@ -50,6 +50,9 @@ step "chaos smoke (crash-consistent offload under seeded schedules)"
 step "rpc batch smoke (batched vs per-op transport parity + frame reduction)"
 ./build-ci/bench/bench_rpc_batch --smoke
 
+step "transport suite (ctest -L transport: framing, batching, read-ahead windows, chaos)"
+ctest --test-dir build-ci --output-on-failure -L transport -j "$JOBS"
+
 step "provisional-cut suite (ctest -L offload: blind-offload revision, two-way migration, link death mid-revision)"
 ctest --test-dir build-ci --output-on-failure -L offload -j "$JOBS"
 

@@ -1,6 +1,7 @@
 #include "rpc/endpoint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <memory>
 #include <string>
@@ -19,6 +20,13 @@ constexpr double kBackoffMultiplier = 2.0;
 constexpr double kRttDevMultiplier = 4.0;
 // Most not-yet-cached group mates one read-ahead fetch snapshots.
 constexpr std::size_t kPrefetchLimit = 4;
+// get_object reply markers, one per requested object.
+constexpr std::uint8_t kObjectAbsent = 0;
+constexpr std::uint8_t kObjectShipped = 1;
+constexpr std::uint8_t kObjectOversized = 2;
+// The smallest slot encoding (an int): bounds how many slots one budget-sized
+// window can ask for.
+constexpr std::size_t kMinSlotBytes = 9;
 }  // namespace
 
 Endpoint::Endpoint(vm::Vm& local_vm, netsim::Link& link)
@@ -91,7 +99,8 @@ void Endpoint::drop_transport_state() {
   staged_reconcile_.clear();
   last_req_frame_.clear();
   last_resp_frame_.clear();
-  invalidate_snapshots();
+  windows_.clear();
+  live_.clear();
   // A new connection epoch starts the partition detector fresh: the old
   // link's timeout run and silence window say nothing about the new link.
   detector_.reset(vm_.clock().now());
@@ -344,7 +353,7 @@ std::optional<std::vector<std::uint8_t>> Endpoint::transact_or_recover(
 void Endpoint::set_batch_policy(BatchPolicy policy) {
   if (!policy.enabled) flush_pending();
   batch_ = policy;
-  if (!batch_.read_ahead) invalidate_snapshots();
+  if (!batch_.read_ahead) invalidate_windows();
 }
 
 void Endpoint::set_prefetch_groups(std::vector<std::vector<ObjectId>> groups) {
@@ -458,8 +467,8 @@ void Endpoint::flush_or_recover() {
 }
 
 void Endpoint::flush_pending() {
-  // Yield point: read-ahead state never survives one (see snapshots_).
-  invalidate_snapshots();
+  // Yield point: read-ahead values never survive one (see windows_).
+  invalidate_windows();
   if (pending_.empty()) return;
   if (peer_ == nullptr) {
     // Disconnected after recovery: the targets live here now.
@@ -600,15 +609,59 @@ Endpoint::transact_or_recover_with_pending(ByteWriter op) {
   }
 }
 
-// --- read-ahead snapshots -----------------------------------------------------
+// --- read-ahead windows ------------------------------------------------------
 
-const vm::Value* Endpoint::snapshot_lookup(ObjectId target,
-                                           FieldId field) const {
-  const auto it = snapshots_.find(target);
-  if (it == snapshots_.end() || field.value() >= it->second.size()) {
-    return nullptr;
+std::size_t Endpoint::window_budget() const noexcept {
+  // One bandwidth-delay product: what the link carries in one null RTT.
+  const netsim::LinkParams& p = link_.params();
+  return static_cast<std::size_t>(
+      p.bandwidth_bps * static_cast<double>(p.null_rtt) / 8e9);
+}
+
+void Endpoint::invalidate_windows() noexcept {
+  for (const ObjectId id : live_) {
+    const auto it = windows_.find(id);
+    if (it == windows_.end()) continue;
+    if (it->second.whole) {
+      // A snapshot carries no scan state worth keeping.
+      windows_.erase(it);
+      continue;
+    }
+    it->second.values = {};
+    it->second.yielded = true;
   }
-  return &it->second[field.value()];
+  live_.clear();
+}
+
+const vm::Value* Endpoint::window_lookup(ObjectId target, std::int64_t slot,
+                                         Op elem) {
+  const auto it = windows_.find(target);
+  if (it == windows_.end()) return nullptr;
+  Window& w = it->second;
+  const std::int64_t k = w.index_of(slot);
+  if (w.elem != elem || k < 0) return nullptr;
+  w.served += 1;
+  if (slot > w.last) {
+    w.step = slot - w.last;
+    w.last = slot;
+  }
+  w.side = -1;
+  return &w.values[static_cast<std::size_t>(k)];
+}
+
+void Endpoint::window_store(ObjectId target, std::int64_t slot, Op elem,
+                            const vm::Value& v) {
+  const auto it = windows_.find(target);
+  if (it == windows_.end() || it->second.elem != elem) return;
+  Window& w = it->second;
+  if (const std::int64_t k = w.index_of(slot); k >= 0) {
+    w.values[static_cast<std::size_t>(k)] = v;
+  }
+}
+
+bool Endpoint::oversized(ObjectId target) const {
+  const auto it = windows_.find(target);
+  return it != windows_.end() && it->second.oversized;
 }
 
 std::optional<vm::Value> Endpoint::fetch_snapshot(ObjectId target,
@@ -619,7 +672,11 @@ std::optional<vm::Value> Endpoint::fetch_snapshot(ObjectId target,
   if (const auto git = group_of_.find(target); git != group_of_.end()) {
     for (const ObjectId id : groups_[git->second]) {
       if (wanted.size() > kPrefetchLimit) break;
-      if (id == target || snapshots_.contains(id) || vm_.is_local(id)) {
+      if (id == target || vm_.is_local(id)) continue;
+      // Already snapshotted, or known to be read by slot.
+      if (const auto wit = windows_.find(id);
+          wit != windows_.end() &&
+          (wit->second.whole || wit->second.oversized)) {
         continue;
       }
       // Group tables outlive the distributed GC: a mate whose stub was
@@ -649,8 +706,12 @@ std::optional<vm::Value> Endpoint::fetch_snapshot(ObjectId target,
   std::optional<vm::Value> result;
   for (std::uint32_t i = 0; i < count; ++i) {
     const ObjectId id{r.read_u64()};
-    const bool present = r.read_u8() != 0;
-    if (!present) continue;
+    const auto marker = r.read_u8();
+    if (marker == kObjectAbsent) continue;
+    if (marker == kObjectOversized) {
+      windows_[id].oversized = true;
+      continue;
+    }
     const auto nfields = r.read_u32();
     std::vector<vm::Value> fields;
     fields.reserve(nfields);
@@ -662,10 +723,121 @@ std::optional<vm::Value> Endpoint::fetch_snapshot(ObjectId target,
     if (id == target && field.value() < fields.size()) {
       result = fields[field.value()];
     }
-    snapshots_[id] = std::move(fields);
+    if (fields.empty()) continue;
+    Window& win = windows_[id];
+    if (win.values.empty()) live_.push_back(id);
+    win.begin = 0;
+    win.stride = 1;
+    win.values = std::move(fields);
+    win.whole = true;
   }
-  // nullopt here (object absent or field out of range) falls back to the
-  // legacy per-op path, which produces the authoritative error or value.
+  // nullopt here (object absent, oversized or field out of range) falls back
+  // to the slot or per-op path, which produces the authoritative value.
+  return result;
+}
+
+vm::Value Endpoint::read_slot(ObjectId target, std::int64_t slot, Op elem) {
+  // Size the fetch from the scan state. A forward read continues the scan
+  // at the stride its hits stepped by (or, with no hits yet, at the gap
+  // from the last read). With no yield since the last read it doubles the
+  // width when it runs off the end of the last run; any forward read runs
+  // off a single slot. Every other miss restarts at the power of two at or
+  // above the reads the last run served — 1 for a read that never repeats.
+  // A read behind a live scan (a stencil's neighbour, say) is a side read:
+  // one legacy frame that leaves the scan alone. Two side reads walking
+  // forward start a new scan from the first of them.
+  static const Window kFresh;
+  const auto it = windows_.find(target);
+  const Window& prev = it != windows_.end() ? it->second : kFresh;
+  std::int64_t last = prev.last;
+  std::int64_t step = prev.step;
+  std::uint32_t run = prev.fetched;
+  std::uint32_t grown = prev.width;
+  bool side = false;
+  if (!prev.values.empty() && slot <= prev.last) {
+    if (prev.side >= 0 && slot > prev.side) {
+      last = prev.side;
+      step = 0;
+      run = 1;
+      grown = 1;
+    } else {
+      side = true;
+    }
+  }
+  const bool forward = !side && last >= 0 && slot > last;
+  std::int64_t stride = prev.stride;
+  if (forward) stride = step > 0 ? step : slot - last;
+  const bool ran_out =
+      forward && !prev.yielded &&
+      (run <= 1 ||
+       slot == prev.begin + static_cast<std::int64_t>(run) * prev.stride);
+  const auto cap = static_cast<std::uint32_t>(
+      std::max<std::size_t>(1, window_budget() / kMinSlotBytes));
+  std::uint32_t width = 1;
+  if (!side) {
+    width = ran_out ? std::min(grown * 2, cap)
+                    : std::min(std::bit_ceil(std::clamp(prev.served, 1u, cap)),
+                               cap);
+  }
+
+  ByteWriter w;
+  if (width == 1) {
+    // The legacy single-op frame, byte for byte.
+    w.write_u8(static_cast<std::uint8_t>(elem));
+    write_target(w, target);
+    if (elem == Op::get_field) {
+      w.write_u32(static_cast<std::uint32_t>(slot));
+    } else {
+      w.write_i64(slot);
+    }
+  } else {
+    w.write_u8(static_cast<std::uint8_t>(Op::get_slots));
+    write_target(w, target);
+    w.write_u8(static_cast<std::uint8_t>(elem));
+    w.write_i64(slot);
+    w.write_i64(stride);
+    w.write_u32(width);
+  }
+  const auto resp = transact_or_recover_with_pending(std::move(w));
+  if (!resp.has_value()) {
+    return elem == Op::get_field
+               ? vm_.raw_get_field(target,
+                                   FieldId{static_cast<std::uint32_t>(slot)})
+               : vm_.raw_array_get(target, slot);
+  }
+  ByteReader r(*resp);
+  std::vector<vm::Value> values;
+  if (width == 1) {
+    values.push_back(read_value(r, *this));
+  } else {
+    const auto n = r.read_u32();
+    values.reserve(n);
+    for (std::uint32_t k = 0; k < n; ++k) {
+      values.push_back(read_value(r, *this));
+    }
+    stats_.snapshots_fetched += 1;
+  }
+  const vm::Value result = values.front();
+  // Looked up afresh: the exchange may have recursed through a yield.
+  if (side) {
+    if (const auto sit = windows_.find(target); sit != windows_.end()) {
+      sit->second.side = slot;
+    }
+    return result;
+  }
+  Window& win = windows_[target];
+  if (win.values.empty()) live_.push_back(target);
+  win.elem = elem;
+  win.begin = slot;
+  win.stride = stride;
+  win.fetched = static_cast<std::uint32_t>(values.size());
+  win.values = std::move(values);
+  win.last = slot;
+  win.step = 0;
+  win.side = -1;
+  win.width = width;
+  win.served = 1;
+  win.yielded = false;
   return result;
 }
 
@@ -751,8 +923,8 @@ vm::Value Endpoint::recover_invoke(
 vm::Value Endpoint::invoke(ObjectId target, ClassId cls, MethodId method,
                            std::span<const vm::Value> args) {
   stats_.ops_sent += 1;
-  // The peer is about to execute code: read-ahead snapshots go stale now.
-  invalidate_snapshots();
+  // The peer is about to execute code: read-ahead windows go stale now.
+  invalidate_windows();
   if (oracle_ != nullptr && !pending_.empty() &&
       !oracle_->invoke_accepts_riders(cls, method)) {
     // The callee's effects are not proven disjoint from the queued stores:
@@ -790,7 +962,7 @@ vm::Value Endpoint::invoke(ObjectId target, ClassId cls, MethodId method,
 vm::Value Endpoint::invoke_static(ClassId cls, MethodId method,
                                   std::span<const vm::Value> args) {
   stats_.ops_sent += 1;
-  invalidate_snapshots();
+  invalidate_windows();
   if (oracle_ != nullptr && !pending_.empty() &&
       !oracle_->invoke_accepts_riders(cls, method)) {
     stats_.unproven_riders_flushed += 1;
@@ -823,13 +995,18 @@ vm::Value Endpoint::invoke_static(ClassId cls, MethodId method,
 
 vm::Value Endpoint::get_field(ObjectId target, FieldId field) {
   stats_.ops_sent += 1;
-  if (batch_.enabled && batch_.read_ahead && peer_ != nullptr) {
-    if (const vm::Value* v = snapshot_lookup(target, field)) {
+  if (read_ahead_on()) {
+    if (const vm::Value* v = window_lookup(target, field.value(),
+                                           Op::get_field)) {
       stats_.readahead_hits += 1;
       return *v;
     }
-    if (auto v = fetch_snapshot(target, field)) {
-      return *v;
+    if (!oversized(target)) {
+      if (auto v = fetch_snapshot(target, field)) return *v;
+    }
+    // The first fetch of an oversized object learns that it is one.
+    if (oversized(target)) {
+      return read_slot(target, field.value(), Op::get_field);
     }
     // Snapshot miss (non-plain object, unknown field, ...): the legacy
     // per-op path below is authoritative.
@@ -851,12 +1028,9 @@ void Endpoint::put_field(ObjectId target, FieldId field, const vm::Value& v) {
   write_target(w, target);
   w.write_u32(field.value());
   write_value(w, v, *this);
+  // Keep a live window coherent with the store, deferred or eager.
+  window_store(target, field.value(), Op::get_field, v);
   if (defer_writes()) {
-    // Keep a warm snapshot coherent with the store either way.
-    if (const auto it = snapshots_.find(target);
-        it != snapshots_.end() && field.value() < it->second.size()) {
-      it->second[field.value()] = v;
-    }
     PendingOp rec;
     rec.kind = Op::put_field;
     rec.target = target;
@@ -918,6 +1092,13 @@ void Endpoint::put_static(ClassId cls, std::uint32_t slot,
 
 vm::Value Endpoint::array_get(ObjectId target, std::int64_t index) {
   stats_.ops_sent += 1;
+  if (read_ahead_on()) {
+    if (const vm::Value* v = window_lookup(target, index, Op::array_get)) {
+      stats_.readahead_hits += 1;
+      return *v;
+    }
+    return read_slot(target, index, Op::array_get);
+  }
   ByteWriter w;
   w.write_u8(static_cast<std::uint8_t>(Op::array_get));
   write_target(w, target);
@@ -936,6 +1117,15 @@ void Endpoint::array_put(ObjectId target, std::int64_t index,
   write_target(w, target);
   w.write_i64(index);
   write_value(w, v, *this);
+  if (v.is_int()) {
+    // Cached as a read would return it: a char element reads back unsigned.
+    const bool chars =
+        vm_.class_of(target) == vm_.registry().char_array_class();
+    window_store(target, index, Op::array_get,
+                 chars ? vm::Value{static_cast<std::int64_t>(
+                             static_cast<unsigned char>(v.as_int()))}
+                       : v);
+  }
   if (defer_writes()) {
     PendingOp rec;
     rec.kind = Op::array_put;
@@ -989,6 +1179,23 @@ void Endpoint::chars_write(ObjectId target, std::int64_t offset,
   write_target(w, target);
   w.write_i64(offset);
   w.write_string(data);
+  // A live window the write overlaps is dropped rather than patched: an
+  // out-of-range write fails whole on the peer, and only the peer knows.
+  if (const auto it = windows_.find(target);
+      it != windows_.end() && it->second.elem == Op::array_get &&
+      !it->second.values.empty()) {
+    const Window& win = it->second;
+    const std::int64_t last =
+        win.begin +
+        static_cast<std::int64_t>(win.values.size() - 1) * win.stride;
+    // Unsigned: the offset comes from the program and may be anything.
+    if (offset <= last &&
+        (offset >= win.begin || static_cast<std::uint64_t>(win.begin) -
+                                        static_cast<std::uint64_t>(offset) <
+                                    data.size())) {
+      it->second.values = {};
+    }
+  }
   if (defer_writes()) {
     PendingOp rec;
     rec.kind = Op::chars_write;
@@ -1017,6 +1224,7 @@ void Endpoint::release(std::span<const ObjectId> ids) {
     const ExportHandle h = refs_.import_handle_for(id);
     if (h.valid()) handles.push_back(h);
     refs_.forget_import(id);
+    windows_.erase(id);
   }
   if (handles.empty() || peer_ == nullptr) return;
 
@@ -1041,7 +1249,7 @@ std::uint64_t Endpoint::migrate_objects(std::span<const ObjectId> ids) {
   // The epoch bump below fences every frame encoded before it, so the
   // write-behind queue must drain first — strictly: a terminal failure here
   // propagates (queue kept) for the platform's recovery to re-apply.
-  invalidate_snapshots();
+  invalidate_windows();
   send_queue();
 
   MigrationTrace trace;
@@ -1334,7 +1542,7 @@ std::optional<std::vector<std::uint8_t>> Endpoint::receive_frame(
   // An incoming frame means the peer is acting: whatever we read ahead of
   // time may be about to change (and anything we cache while serving goes
   // stale the moment the requester resumes — hence the clear on both ends).
-  invalidate_snapshots();
+  invalidate_windows();
   const auto view = parse_frame(wire);
   if (!view.has_value()) {
     stats_.corrupt_frames_rejected += 1;
@@ -1368,7 +1576,7 @@ std::optional<std::vector<std::uint8_t>> Endpoint::receive_frame(
     throw;
   }
   serving_depth_ -= 1;
-  invalidate_snapshots();
+  invalidate_windows();
   last_served_seq_ = view->seq;
   if (fault_tolerant()) {
     cached_response_ = resp;
@@ -1696,13 +1904,62 @@ std::vector<std::uint8_t> Endpoint::serve_one(
             obj = nullptr;
           }
           if (obj == nullptr || obj->kind != vm::ObjectKind::plain) {
-            out.write_u8(0);
+            out.write_u8(kObjectAbsent);
             continue;
           }
-          out.write_u8(1);
+          // An object larger than one bandwidth-delay product is never
+          // shipped whole; the requester reads it by slot instead.
+          std::size_t bytes = 4;
+          for (const vm::Value& v : obj->fields) bytes += encoded_size(v);
+          if (bytes > window_budget()) {
+            out.write_u8(kObjectOversized);
+            continue;
+          }
+          out.write_u8(kObjectShipped);
           out.write_u32(static_cast<std::uint32_t>(obj->fields.size()));
           for (const vm::Value& v : obj->fields) write_value(out, v, *this);
         }
+        break;
+      }
+      case Op::get_slots: {
+        // Read-ahead window: slots begin, begin + stride, ... of a plain
+        // object's fields or an array's elements, at most `count` of them
+        // and at most one bandwidth-delay product of encoded values. The
+        // demanded first slot reads exactly like its single-op request,
+        // errors included; the rest stop quietly at the object's end.
+        const ObjectId target = resolve_target(r);
+        const auto elem = static_cast<Op>(r.read_u8());
+        const std::int64_t begin = r.read_i64();
+        const std::int64_t stride = r.read_i64();
+        const auto count = r.read_u32();
+        if (stride < 1 || (elem != Op::get_field && elem != Op::array_get)) {
+          throw VmError(VmErrorCode::type_mismatch, "bad read-ahead window");
+        }
+        const auto read = [&](std::int64_t slot) {
+          return elem == Op::get_field
+                     ? vm_.raw_get_field(
+                           target, FieldId{static_cast<std::uint32_t>(slot)})
+                     : vm_.raw_array_get(target, slot);
+        };
+        std::vector<vm::Value> values{read(begin)};
+        const vm::Object& obj = *vm_.find_object(target);
+        const std::int64_t len =
+            elem == Op::get_field
+                ? static_cast<std::int64_t>(obj.fields.size())
+                : obj.array_length();
+        const std::size_t budget = window_budget();
+        std::size_t bytes = encoded_size(values.front());
+        for (std::int64_t slot = begin;
+             values.size() < count && stride < len - slot;) {
+          slot += stride;
+          vm::Value v = read(slot);
+          bytes += encoded_size(v);
+          if (bytes > budget) break;
+          values.push_back(std::move(v));
+        }
+        out.write_u8(kStatusOk);
+        out.write_u32(static_cast<std::uint32_t>(values.size()));
+        for (const vm::Value& v : values) write_value(out, v, *this);
         break;
       }
       default:

@@ -29,11 +29,13 @@
 //  * batched, pipelined transport (BatchPolicy, on by default): void ops are
 //    write-behind and coalesce with the next synchronous op into one
 //    multi-op frame under a single [crc][epoch][seq] header; remote reads
-//    fetch whole-object snapshots plus their MINCUT group neighbors
-//    (read-ahead); pure-write flushes under an inert fault plan overlap
-//    their acknowledgement with subsequent compute in virtual time. A
-//    timeout voids and retries a multi-op frame as a unit, and the serving
-//    side executes it inside one journal scope so rollback is batch-atomic.
+//    fetch read-ahead windows sized to one bandwidth-delay product (small
+//    objects whole with their MINCUT group neighbors, strided slot runs of
+//    arrays and oversized objects); pure-write flushes under an inert fault
+//    plan overlap their acknowledgement with subsequent compute in virtual
+//    time. A timeout voids and retries a multi-op frame as a unit, and the
+//    serving side executes it inside one journal scope so rollback is
+//    batch-atomic.
 //
 // Execution is synchronous and serial, matching the paper's emulator model:
 // "the two VMs do not execute application code simultaneously".
@@ -68,11 +70,18 @@ namespace aide::rpc {
 // incoming invoke). A queue of exactly one op flushes as a bit-identical
 // legacy frame; an empty flush sends nothing.
 //
-// With `read_ahead`, a remote get_field miss fetches a snapshot of the whole
-// target object — plus up to four not-yet-cached neighbors from
-// its MINCUT partition group — in one frame; subsequent reads of those
-// objects are served locally until the peer next has a chance to execute
-// code (any outgoing invoke, any incoming frame, migration, flush).
+// With `read_ahead`, remote reads fetch windows sized to the link: at most
+// one bandwidth-delay product (LinkParams bandwidth x null RTT) of encoded
+// values per object. A get_field miss on a plain object whose encoding fits
+// that budget fetches the whole object — plus up to four not-yet-cached
+// neighbors from its MINCUT partition group — in one frame. A larger object
+// is answered "oversized" once and read by slot from then on. Slot reads
+// (oversized objects, int/char array elements) go through one adaptive
+// window per target: a single-op frame at first, then a strided run of
+// slots at the detected stride, doubling while the reader keeps running off
+// its end. Cached values serve reads locally until the peer next has a
+// chance to execute code (any outgoing invoke, any incoming frame,
+// migration, flush); the window widths survive that, the values do not.
 struct BatchPolicy {
   bool enabled = true;
   std::size_t max_ops = 32;
@@ -109,8 +118,9 @@ struct EndpointStats {
   std::uint64_t ops_sent = 0;         // logical data ops issued by the VM
   std::uint64_t batches_sent = 0;     // multi-op frames sent
   std::uint64_t batched_ops = 0;      // ops that travelled inside those frames
-  std::uint64_t readahead_hits = 0;   // get_fields served from the snapshot cache
-  std::uint64_t snapshots_fetched = 0;   // whole-object snapshots shipped
+  std::uint64_t readahead_hits = 0;   // reads served from a read-ahead window
+  std::uint64_t snapshots_fetched = 0;   // read-ahead windows shipped (whole
+                                         // objects and slot runs of > 1)
   std::uint64_t objects_prefetched = 0;  // snapshots beyond the demanded one
   std::uint64_t pending_applied_locally = 0;  // write-behind ops recovered locally
   // Batch-safety accounting (all zero without a BatchSafetyOracle installed).
@@ -461,6 +471,7 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
     get_object = 17,  // read-ahead: snapshot whole objects + group neighbors
     reconcile_prepare = 18,  // stage the encoded redo log (no heap effects)
     reconcile_commit = 19,   // atomically replay the staged redo log
+    get_slots = 20,   // read-ahead: a strided run of fields or elements
   };
 
   // One write-behind operation: the encoded legacy request (exports already
@@ -543,11 +554,27 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
   [[nodiscard]] std::size_t effective_max_ops() const noexcept;
   [[nodiscard]] bool prefetch_mate_eligible(ObjectId id) const;
 
-  // Read-ahead plumbing.
-  void invalidate_snapshots() noexcept { snapshots_.clear(); }
-  [[nodiscard]] const vm::Value* snapshot_lookup(ObjectId target,
-                                                 FieldId field) const;
+  // Read-ahead plumbing. A yield point drops every cached value; the scan
+  // state of slot windows survives it.
+  [[nodiscard]] bool read_ahead_on() const noexcept {
+    return batch_.enabled && batch_.read_ahead && peer_ != nullptr;
+  }
+  void invalidate_windows() noexcept;
+  // The cached value of `slot` (a field for `elem` == get_field, an element
+  // for array_get), counting the read as served; nullptr on a miss.
+  const vm::Value* window_lookup(ObjectId target, std::int64_t slot, Op elem);
+  // Keeps a live window coherent with a store of `v` into `slot`.
+  void window_store(ObjectId target, std::int64_t slot, Op elem,
+                    const vm::Value& v);
+  [[nodiscard]] bool oversized(ObjectId target) const;
+  // Whole-object fetch: the demanded field's value, or nullopt when the
+  // object is oversized, absent or lacks the field.
   std::optional<vm::Value> fetch_snapshot(ObjectId target, FieldId field);
+  // Slot read through the target's adaptive window (`elem` is get_field or
+  // array_get): a legacy single-op frame at width 1, a get_slots run above.
+  vm::Value read_slot(ObjectId target, std::int64_t slot, Op elem);
+  // Byte budget of one read-ahead reply: the link's bandwidth-delay product.
+  [[nodiscard]] std::size_t window_budget() const noexcept;
 
   // Receiving side of the framed transport: validates the CRC, fences stale
   // seq/epoch frames, replays the cached reply for a retried sequence number
@@ -613,11 +640,40 @@ class Endpoint final : public vm::RemotePeer, private RefTranslator {
 
   // Write-behind queue: encoded-but-unsent void ops awaiting coalescing.
   std::vector<PendingOp> pending_;
-  // Read-ahead snapshot cache: whole-object field images of peer objects.
-  // Valid only until the peer can next execute code; the two VMs never run
-  // application code simultaneously, so every such boundary is explicit
-  // (outgoing invoke, incoming frame, migration, flush) and clears it.
-  std::unordered_map<ObjectId, std::vector<vm::Value>> snapshots_;
+  // Read-ahead cache: one window per peer object, cached slots
+  // begin + k * stride for k < values.size() (a small object's snapshot is
+  // [0, n) with stride 1). Values are valid only until the peer can next
+  // execute code; the two VMs never run application code simultaneously, so
+  // every such boundary is explicit (outgoing invoke, incoming frame,
+  // migration, flush) and drops them. The scan state sizes the next fetch.
+  struct Window {
+    Op elem = Op::get_field;  // fields (get_field) or elements (array_get)
+    std::int64_t begin = 0;
+    std::int64_t stride = 1;
+    std::vector<vm::Value> values;  // empty: nothing cached
+    bool whole = false;       // values are a whole-object snapshot
+    bool oversized = false;   // plain object too large to ship whole
+    std::int64_t last = -1;   // last slot the scan read (-1: none yet)
+    std::int64_t step = 0;    // gap its hits stepped by since the fetch
+    std::int64_t side = -1;   // last side read since then (-1: none)
+    std::uint32_t width = 1;  // slots the last fetch asked for
+    std::uint32_t fetched = 0;  // slots the last fetch returned
+    std::uint32_t served = 0;   // reads the last fetch served
+    bool yielded = false;     // a yield dropped the values since `last`
+
+    // Position of `slot` among the cached values; -1 when it is not cached.
+    [[nodiscard]] std::int64_t index_of(std::int64_t slot) const noexcept {
+      if (slot < begin) return -1;
+      const std::int64_t off = slot - begin;
+      if (off % stride != 0 ||
+          off / stride >= static_cast<std::int64_t>(values.size())) {
+        return -1;
+      }
+      return off / stride;
+    }
+  };
+  std::unordered_map<ObjectId, Window> windows_;
+  std::vector<ObjectId> live_;  // windows currently holding values
   // Prefetch groups (sorted member lists) and the member -> group index.
   std::vector<std::vector<ObjectId>> groups_;
   std::unordered_map<ObjectId, std::size_t> group_of_;

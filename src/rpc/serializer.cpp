@@ -100,6 +100,16 @@ void write_value(ByteWriter& w, const vm::Value& v, RefTranslator& tr) {
   }
 }
 
+std::size_t encoded_size(const vm::Value& v) noexcept {
+  constexpr std::size_t kTag = 1;
+  constexpr std::size_t kWireRef = 4 + 8 + 8 + 4 + 1;
+  if (v.is_nil()) return kTag;
+  if (v.is_bool()) return kTag + 1;
+  if (v.is_int() || v.is_real()) return kTag + 8;
+  if (v.is_ref()) return v.as_ref().is_null() ? kTag : kTag + kWireRef;
+  return kTag + 4 + v.as_str().size();
+}
+
 vm::Value read_value(ByteReader& r, RefTranslator& tr) {
   const auto tag = static_cast<Tag>(r.read_u8());
   switch (tag) {

@@ -77,6 +77,9 @@ void write_op_section(ByteWriter& w, std::span<const std::uint8_t> op);
 
 void write_value(ByteWriter& w, const vm::Value& v, RefTranslator& tr);
 [[nodiscard]] vm::Value read_value(ByteReader& r, RefTranslator& tr);
+// The bytes write_value() would emit for `v`, computed without translating
+// (and so without exporting) any reference.
+[[nodiscard]] std::size_t encoded_size(const vm::Value& v) noexcept;
 
 // Object migration is encoded in two sections so that reference cycles among
 // co-migrated objects resolve: first all object headers (identity + shape),

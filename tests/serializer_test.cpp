@@ -58,6 +58,26 @@ TEST(WireValueTest, ScalarRoundTrips) {
   EXPECT_EQ(roundtrip(Value{"wire"}, tr).as_str(), "wire");
 }
 
+TEST(WireValueTest, EncodedSizeMatchesWrittenBytesWithoutTranslating) {
+  FakeTranslator tr;
+  const Value values[] = {Value{},
+                          Value{true},
+                          Value{std::int64_t{-7}},
+                          Value{1.5},
+                          Value{""},
+                          Value{"a longer string"},
+                          Value{vm::kNullRef},
+                          Value{ObjectRef{ObjectId{42}}}};
+  for (const Value& v : values) {
+    const int outs = tr.outs;
+    const std::size_t predicted = encoded_size(v);
+    EXPECT_EQ(tr.outs, outs);  // sizing exports nothing
+    ByteWriter w;
+    write_value(w, v, tr);
+    EXPECT_EQ(predicted, w.size());
+  }
+}
+
 TEST(WireValueTest, NullRefRoundTripsWithoutTranslation) {
   FakeTranslator tr;
   const Value v = roundtrip(Value{vm::kNullRef}, tr);
