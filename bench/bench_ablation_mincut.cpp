@@ -50,7 +50,6 @@ int main() {
 
     partition::PartitionRequest req;
     req.objective = partition::Objective::free_memory;
-    req.heap_capacity = kPaperHeap;
     req.min_free_bytes = required;
     req.history_duration = clock.now();
     const auto decision = partition::decide_partitioning(g, req);

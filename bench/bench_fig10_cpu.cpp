@@ -57,6 +57,7 @@ int main() {
     // Original = the recorded client-only execution.
     emul::EmulatorConfig base;
     base.max_offloads = 0;
+    base.surrogate_speedup = 1.0;
     base.heap_capacity = std::int64_t{64} << 20;
     emul::Emulator original(app.registry, base);
     const auto orig = original.run(app.trace);

@@ -50,7 +50,6 @@ int main() {
 
     partition::PartitionRequest req;
     req.objective = partition::Objective::free_memory;
-    req.heap_capacity = kPaperHeap;
     req.min_free_bytes = static_cast<std::int64_t>(0.20 * kPaperHeap);
     req.history_duration = clock.now();
 

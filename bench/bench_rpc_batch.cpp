@@ -214,7 +214,7 @@ Cell run_app(const apps::AppInfo& app, const apps::AppParams& params,
   // The paper's "Native" enhancement: without it, remote rendering turns
   // every stateless Math call into its own surrogate->client round trip and
   // the invoke traffic swamps the data-access traffic batching targets.
-  cfg.enhancements.stateless_natives_local = true;
+  cfg.stateless_natives_local = true;
   cfg.batching.enabled = batching;
   cfg.batching.read_ahead = batching;
   auto reg = std::make_shared<vm::ClassRegistry>();

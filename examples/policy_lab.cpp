@@ -44,6 +44,7 @@ int main() {
         cfg.trigger.low_free_threshold = threshold;
         cfg.trigger.consecutive_reports = tolerance;
         cfg.min_free_fraction = min_free;
+        cfg.surrogate_speedup = 1.0;
         cfg.gc_pressure_cost_ns_per_live_byte = 100.0;
         emul::Emulator emu(registry, cfg);
         const auto r = emu.run(trace);

@@ -1,5 +1,6 @@
 // Implementation of aideverify: IR resolution, interprocedural fixpoint,
-// metadata audits, conflict matrix, and the BatchSafety oracle.
+// metadata audits, conflict matrix, the BatchSafety oracle, and the startup
+// gates.
 #include "analysis/effects.hpp"
 
 #include <algorithm>
@@ -7,6 +8,8 @@
 #include <deque>
 #include <string_view>
 #include <unordered_set>
+
+#include "common/log.hpp"
 
 namespace aide::analysis {
 
@@ -653,6 +656,44 @@ bool BatchSafety::replay_safe(ClassId cls, MethodId method) const noexcept {
 bool BatchSafety::prefetch_eligible(ClassId cls) const noexcept {
   const std::size_t c = cls.value();
   return c < prefetch_eligible_.size() && prefetch_eligible_[c];
+}
+
+StartupGates run_startup_gates(const vm::ClassRegistry& registry,
+                               bool static_analysis, bool effect_verify) {
+  StartupGates gates;
+  if (static_analysis) {
+    // Static partition-safety gate: refuse to run a program whose registry
+    // has ERROR-severity findings; surface the warnings either way.
+    const AnalysisReport& lint = gates.lint.emplace(analyze(registry));
+    for (const auto& d : lint.diagnostics) {
+      if (d.severity == Severity::warning) {
+        AIDE_LOG_WARN("aidelint", d.format());
+      }
+    }
+    if (!lint.ok()) throw AnalysisError(lint);
+  }
+  if (effect_verify) {
+    const VerifyReport& v = gates.verify.emplace(verify(registry));
+    for (const auto& d : v.diagnostics) {
+      if (d.severity == Severity::warning) {
+        AIDE_LOG_WARN("aideverify", d.format());
+      }
+    }
+    // Only verify-layer findings gate here; base lint errors belong to the
+    // static_analysis gate above (and stay waivable independently of it).
+    if (v.count(Severity::error) > 0) {
+      auto merged = v.base;
+      merged.diagnostics = v.diagnostics;
+      throw AnalysisError(merged);
+    }
+    if (v.methods_total > 0 && v.methods_with_ir == v.methods_total) {
+      // Full IR coverage: the inferred conflict matrix bounds every deferred
+      // store, so the transport may consult it. Anything less proves nothing
+      // (⊤ summaries poison the matrix) and would only force early flushes.
+      gates.batch_safety.emplace(v);
+    }
+  }
+  return gates;
 }
 
 }  // namespace aide::analysis

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -226,5 +227,32 @@ class BatchSafety final : public BatchSafetyOracle {
   std::vector<std::vector<bool>> pure_;
   std::vector<bool> prefetch_eligible_;
 };
+
+// Startup gates shared by every runtime that executes a registry: the live
+// Platform and the multi-session SurrogateServer run them once, at
+// construction, over the registry their VMs share.
+struct StartupGates {
+  std::optional<AnalysisReport> lint;   // set when static_analysis ran
+  std::optional<VerifyReport> verify;   // set when effect_verify ran
+  // Set when effect_verify ran over a registry with 100% effect-IR coverage.
+  // Endpoints hold a pointer to it: a StartupGates must not move once one
+  // was handed out.
+  std::optional<BatchSafety> batch_safety;
+
+  [[nodiscard]] const BatchSafety* oracle() const noexcept {
+    return batch_safety.has_value() ? &*batch_safety : nullptr;
+  }
+};
+
+// `static_analysis` runs aidelint: ERROR findings throw AnalysisError, WARN
+// findings are logged. `effect_verify` runs aideverify, which infers
+// per-method summaries from the effect IR and audits every hand-declared
+// annotation against them; drift refuses startup the same way. When every
+// registered method carries IR the BatchSafety oracle is derived — a
+// partially annotated registry still verifies, but proves nothing the
+// transport could use.
+[[nodiscard]] StartupGates run_startup_gates(const vm::ClassRegistry& registry,
+                                             bool static_analysis,
+                                             bool effect_verify);
 
 }  // namespace aide::analysis

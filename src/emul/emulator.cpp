@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.hpp"
-
 namespace aide::emul {
 
 namespace {
@@ -47,11 +45,9 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
         }
       }
     }
-    if (config_.charge_migration) {
-      const SimDuration cost = rpc_cost(moved);
-      charge_service(cost, ServiceKind::migration);
-      result.migration_time += cost;
-    }
+    const SimDuration cost = rpc_cost(moved);
+    charge_service(cost, ServiceKind::migration);
+    result.migration_time += cost;
     OffloadSnapshot snap;
     snap.at = at;
     snap.decision = std::move(manual);
@@ -61,21 +57,9 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
     return;
   }
 
-  partition::PartitionRequest req;
-  req.objective = config_.objective;
-  req.heap_capacity = config_.heap_capacity;
-  req.min_free_bytes = static_cast<std::int64_t>(
-      config_.min_free_fraction * static_cast<double>(config_.heap_capacity));
-  req.client_speed = 1.0;
-  req.surrogate_speedup = config_.surrogate_speedup;
-  req.min_improvement = config_.min_improvement;
-  req.link = config_.link;
-  req.history_duration = std::max<SimDuration>(at, 1);
-  req.weight = config_.weight;
-  req.charge_migration = config_.charge_migration;
-
-  const auto decision =
-      partition::decide_partitioning(monitor_->graph(), req);
+  // History is the trace time replayed so far.
+  const auto decision = partition::decide_partitioning(
+      monitor_->graph(), config_.request(config_.heap_capacity, at));
   if (!decision.offload) {
     result.declined.push_back(decision);
     return;
@@ -97,11 +81,9 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
     }
   }
 
-  if (config_.charge_migration) {
-    const SimDuration cost = rpc_cost(moved_bytes);
-    charge_service(cost, ServiceKind::migration);
-    result.migration_time += cost;
-  }
+  const SimDuration cost = rpc_cost(moved_bytes);
+  charge_service(cost, ServiceKind::migration);
+  result.migration_time += cost;
 
   OffloadSnapshot snap;
   snap.at = at;
@@ -112,12 +94,9 @@ void Emulator::try_offload(SimTime at, EmulationResult& result) {
 }
 
 void Emulator::begin(const Trace& trace) {
-  monitor::MonitorConfig mon_cfg;
-  mon_cfg.granularity.arrays_as_objects = config_.arrays_as_objects;
-  mon_cfg.granularity.min_array_bytes = config_.min_array_bytes;
-  mon_cfg.granularity.object_granularity_classes = {
-      registry_->int_array_class()};
-  monitor_ = std::make_unique<monitor::ExecutionMonitor>(registry_, mon_cfg);
+  monitor_ = std::make_unique<monitor::ExecutionMonitor>(
+      registry_, monitor::MonitorConfig{
+                     config_.granularity(registry_->int_array_class())});
   resource_ = std::make_unique<monitor::ResourceMonitor>(kEmulatedClient,
                                                          config_.trigger);
   offloaded_.clear();

@@ -27,6 +27,8 @@ struct TriggerPolicy {
   // the heap is substantially occupied.
   double no_progress_fraction = 0.01;
   double no_progress_min_used = 0.90;
+
+  bool operator==(const TriggerPolicy&) const = default;
 };
 
 class ResourceMonitor : public vm::VmHooks {

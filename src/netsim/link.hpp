@@ -44,6 +44,8 @@ struct LinkParams {
   static LinkParams cellular() noexcept {
     return LinkParams{.bandwidth_bps = 384e3, .null_rtt = sim_ms(120)};
   }
+
+  bool operator==(const LinkParams&) const = default;
 };
 
 // Side-effect-free cost probes: candidate evaluation (partitioner, emulator)

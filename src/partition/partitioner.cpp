@@ -150,19 +150,15 @@ SimDuration predicted_offload_time(const graph::Candidate& cand,
                                    SimDuration total_self_time,
                                    const PartitionRequest& req) {
   const SimDuration client_self = total_self_time - cand.offload_self_time;
-  const double client_s =
-      sim_to_seconds(client_self) / req.client_speed;
-  const double surrogate_s = sim_to_seconds(cand.offload_self_time) /
-                             (req.client_speed * req.surrogate_speedup);
-  SimDuration t = static_cast<SimDuration>((client_s + surrogate_s) * 1e9) +
-                  predicted_comm_time(cand, req.link);
-  if (req.charge_migration) {
-    const double mig_s = static_cast<double>(cand.offload_mem_bytes) * 8.0 /
-                             req.link.bandwidth_bps +
-                         sim_to_seconds(req.link.null_rtt);
-    t += static_cast<SimDuration>(mig_s * 1e9);
-  }
-  return t;
+  const double client_s = sim_to_seconds(client_self);
+  const double surrogate_s =
+      sim_to_seconds(cand.offload_self_time) / req.surrogate_speedup;
+  const double mig_s = static_cast<double>(cand.offload_mem_bytes) * 8.0 /
+                           req.link.bandwidth_bps +
+                       sim_to_seconds(req.link.null_rtt);
+  return static_cast<SimDuration>((client_s + surrogate_s) * 1e9) +
+         predicted_comm_time(cand, req.link) +
+         static_cast<SimDuration>(mig_s * 1e9);
 }
 
 PartitionDecision decide_partitioning(const graph::ExecGraph& graph,
@@ -185,8 +181,8 @@ PartitionDecision decide_partitioning(const graph::ExecGraph& graph,
   decision.mincut_edges = cut_graph->edge_count();
 
   const SimDuration total_self = cut_graph->total_self_time();
-  decision.predicted_original_time = static_cast<SimDuration>(
-      sim_to_seconds(total_self) / req.client_speed * 1e9);
+  decision.predicted_original_time =
+      static_cast<SimDuration>(sim_to_seconds(total_self) * 1e9);
 
   // Post-reconcile gravity: map each cut-graph node to the bytes of
   // disconnected-era rebuilt state it stands for (folded members included
@@ -232,7 +228,7 @@ PartitionDecision decide_partitioning(const graph::ExecGraph& graph,
   if (req.objective == Objective::free_memory) {
     double best_cost = std::numeric_limits<double>::infinity();
     graph::modified_mincut_visit(
-        *cut_graph, req.weight, [&](const graph::Candidate& cand) {
+        *cut_graph, graph::EdgeWeightFn{}, [&](const graph::Candidate& cand) {
           ++decision.candidates_total;
           if (cand.offload_mem_bytes < req.min_free_bytes) return;
           ++decision.candidates_feasible;
@@ -258,7 +254,7 @@ PartitionDecision decide_partitioning(const graph::ExecGraph& graph,
         (1.0 - req.min_improvement));
     SimDuration best_any = std::numeric_limits<SimDuration>::max();
     graph::modified_mincut_visit(
-        *cut_graph, req.weight, [&](const graph::Candidate& cand) {
+        *cut_graph, graph::EdgeWeightFn{}, [&](const graph::Candidate& cand) {
           ++decision.candidates_total;
           if (cand.offload_self_time <= 0) return;
           const SimDuration t = predicted_offload_time(cand, total_self, req);

@@ -41,13 +41,12 @@ struct PartitionRequest {
   Objective objective = Objective::free_memory;
 
   // --- free_memory objective ----------------------------------------------
-  std::int64_t heap_capacity = 0;
   // Minimum client heap bytes a partitioning must free to be acceptable
   // (paper: "at least 20% of the Java heap").
   std::int64_t min_free_bytes = 0;
 
   // --- speed_up objective ---------------------------------------------------
-  double client_speed = 1.0;
+  // Surrogate CPU speed relative to the client's.
   double surrogate_speedup = 3.5;
   // Fraction of predicted-original time a candidate must beat to be selected.
   double min_improvement = 0.0;
@@ -58,9 +57,6 @@ struct PartitionRequest {
   // historical cut bytes into a predicted bandwidth and to scale the
   // history's communication volume into the time prediction.
   SimDuration history_duration = sim_sec(1);
-  graph::EdgeWeightFn weight;
-  // One-time object migration is charged into speed-up predictions.
-  bool charge_migration = true;
 
   // Optional static hints from analysis::analyze(); when set (and non-empty)
   // the graph is pre-contracted before MINCUT. Not owned; must outlive the
@@ -125,7 +121,8 @@ struct ContractedGraph {
                                               const netsim::LinkParams& link);
 
 // Predicted total execution time of the recorded history if `cand` had been
-// in effect, under the speed_up objective.
+// in effect, under the speed_up objective, including the one-time migration
+// of its state.
 [[nodiscard]] SimDuration predicted_offload_time(const graph::Candidate& cand,
                                                  SimDuration total_self_time,
                                                  const PartitionRequest& req);

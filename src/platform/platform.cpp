@@ -19,10 +19,9 @@ constexpr std::uint64_t kProbeBytes = 64;
 // episode, so a flappy link gets a fresh allowance each time.
 constexpr std::size_t kMaxReadmissions = 4;
 constexpr std::size_t kMaxReconcileAttempts = 16;
-// Allocation-gravity credit (cut-weight units per byte, scaled by the
-// platform's edge_weight.bytes_factor) that post-reconcile offload decisions
-// grant to components of the working tree the program used or rebuilt
-// while disconnected. The MINCUT benefit model alone picks the
+// Allocation-gravity credit (cut-weight units per byte) that post-reconcile
+// offload decisions grant to components of the working tree the program used
+// or rebuilt while disconnected. The MINCUT benefit model alone picks the
 // cheapest-to-cut sliver and strands the rebuilt tree on the client
 // (JavaNote pays +174% for it); the credit makes the rebuilt tree the
 // preferred candidate.
@@ -55,42 +54,12 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
     : config_(config),
       link_(config.link),
       registry_(std::move(registry)),
+      gates_(analysis::run_startup_gates(*registry_, config.static_analysis,
+                                         config.effect_verify)),
       exec_monitor_(registry_,
-                    monitor::MonitorConfig{monitor::GranularityPolicy{
-                        config.enhancements.arrays_as_objects,
-                        config.enhancements.min_array_bytes,
-                        {registry_->int_array_class()}}}),
+                    monitor::MonitorConfig{
+                        config.granularity(registry_->int_array_class())}),
       resource_monitor_(kClientNode, config.trigger) {
-  if (config_.static_analysis) {
-    // Static partition-safety gate: refuse to run a program whose registry
-    // has ERROR-severity findings; surface the warnings either way.
-    analysis_ = analysis::analyze(*registry_);
-    for (const auto& d : analysis_->diagnostics) {
-      if (d.severity == analysis::Severity::warning) {
-        AIDE_LOG_WARN("aidelint", d.format());
-      }
-    }
-    if (!analysis_->ok()) throw analysis::AnalysisError(*analysis_);
-  }
-  if (config_.effect_verify) {
-    // Effect-inference gate: infer whole-program summaries from the method
-    // IR and audit every hand-declared annotation against them. Drift is a
-    // programming error — refuse startup exactly like the gate above.
-    verify_ = analysis::verify(*registry_);
-    for (const auto& d : verify_->diagnostics) {
-      if (d.severity == analysis::Severity::warning) {
-        AIDE_LOG_WARN("aideverify", d.format());
-      }
-    }
-    // Only verify-layer findings gate here; base lint errors belong to the
-    // static_analysis gate above (and stay waivable independently of it).
-    if (verify_->count(analysis::Severity::error) > 0) {
-      auto merged = verify_->base;
-      merged.diagnostics = verify_->diagnostics;
-      throw analysis::AnalysisError(merged);
-    }
-  }
-
   vm::VmConfig client_cfg;
   client_cfg.node = kClientNode;
   client_cfg.name = "client";
@@ -100,8 +69,7 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
   client_cfg.gc_alloc_count_threshold =
       config_.client_gc_alloc_count_threshold;
   client_cfg.gc_alloc_bytes_divisor = config_.client_gc_alloc_bytes_divisor;
-  client_cfg.stateless_natives_local =
-      config_.enhancements.stateless_natives_local;
+  client_cfg.stateless_natives_local = config_.stateless_natives_local;
   client_ = std::make_unique<vm::Vm>(client_cfg, registry_, clock_);
 
   vm::VmConfig surrogate_cfg;
@@ -110,8 +78,7 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
   surrogate_cfg.is_client = false;
   surrogate_cfg.cpu_speed = config_.surrogate_speedup;
   surrogate_cfg.heap_capacity = config_.surrogate_heap;
-  surrogate_cfg.stateless_natives_local =
-      config_.enhancements.stateless_natives_local;
+  surrogate_cfg.stateless_natives_local = config_.stateless_natives_local;
   surrogate_ = std::make_unique<vm::Vm>(surrogate_cfg, registry_, clock_);
 
   client_ep_ = std::make_unique<rpc::Endpoint>(*client_, link_);
@@ -123,14 +90,9 @@ Platform::Platform(std::shared_ptr<const vm::ClassRegistry> registry,
   surrogate_ep_->set_retry_policy(config_.retry);
   client_ep_->set_batch_policy(config_.batching);
   surrogate_ep_->set_batch_policy(config_.batching);
-  if (verify_.has_value() && verify_->methods_total > 0 &&
-      verify_->methods_with_ir == verify_->methods_total) {
-    // Full IR coverage: the inferred conflict matrix bounds every deferred
-    // store, so the transport may consult it. Anything less proves nothing
-    // (⊤ summaries poison the matrix) and would only force early flushes.
-    batch_safety_.emplace(*verify_);
-    client_ep_->set_batch_safety(&*batch_safety_);
-    surrogate_ep_->set_batch_safety(&*batch_safety_);
+  if (gates_.oracle() != nullptr) {
+    client_ep_->set_batch_safety(gates_.oracle());
+    surrogate_ep_->set_batch_safety(gates_.oracle());
   }
   if (config_.fault_plan.enabled()) {
     // Exactly-once recovery needs the undo journal; fault-free runs keep it
@@ -306,26 +268,14 @@ bool Platform::low_memory_rescue(vm::Vm&) {
 
 partition::PartitionRequest Platform::make_request(
     std::optional<std::int64_t> min_free_override) const {
-  partition::PartitionRequest req;
-  req.objective = config_.objective;
-  req.heap_capacity = config_.client_heap;
-  req.min_free_bytes =
-      min_free_override.value_or(static_cast<std::int64_t>(
-          config_.min_free_fraction *
-          static_cast<double>(config_.client_heap)));
-  req.client_speed = 1.0;
-  req.surrogate_speedup = config_.surrogate_speedup;
-  req.min_improvement = config_.min_improvement;
-  req.link = config_.link;
+  // History is the time since the last offload (the run's start before it).
   const SimTime since = offloads_.empty() ? 0 : offloads_.back().at;
-  req.history_duration = std::max<SimDuration>(clock_.now() - since, 1);
-  req.weight = config_.edge_weight;
+  auto req = config_.request(config_.client_heap, clock_.now() - since,
+                             min_free_override);
   if (!reoffload_gravity_.empty()) {
     req.reoffload_gravity = &reoffload_gravity_;
-    req.gravity_credit_per_byte =
-        kReoffloadGravityCredit * config_.edge_weight.bytes_factor;
+    req.gravity_credit_per_byte = kReoffloadGravityCredit;
   }
-  if (config_.use_static_hints) req.hints = static_hints();
   return req;
 }
 
@@ -333,8 +283,8 @@ const analysis::StaticHints* Platform::static_hints() const noexcept {
   // The verify-layer hints have the same contraction fields as the
   // metadata-only ones plus replay/prefetch facts, so preferring them
   // changes nothing unless effect_verify found more.
-  if (verify_.has_value()) return &verify_->hints;
-  if (analysis_.has_value()) return &analysis_->hints;
+  if (gates_.verify.has_value()) return &gates_.verify->hints;
+  if (gates_.lint.has_value()) return &gates_.lint->hints;
   return nullptr;
 }
 
@@ -495,16 +445,12 @@ partition::PartitionDecision Platform::decide(
   if (!decision.offload) return decision;
 
   // Defense in depth: whenever the static analysis ran, the dynamic decision
-  // must agree with its verdict. A pin root may never offload; with hints
-  // enabled the whole pinned closure may not either. A violation is a
-  // partitioner bug, not a policy outcome — fail loudly with
+  // must agree with its verdict: a pin root may never offload. A violation
+  // is a partitioner bug, not a policy outcome — fail loudly with
   // std::logic_error.
-  if (analysis_.has_value()) {
+  if (gates_.lint.has_value()) {
     for (const auto& comp : decision.selected.offload) {
-      const bool illegal =
-          analysis_->is_pin_root(comp.cls) ||
-          (config_.use_static_hints && analysis_->in_closure(comp.cls));
-      if (illegal) {
+      if (gates_.lint->is_pin_root(comp.cls)) {
         offloading_in_progress_ = false;
         throw std::logic_error(
             "static/dynamic verdict mismatch: partitioner selected pinned "
@@ -568,7 +514,7 @@ double Platform::cut_weight_of(
   double weight = 0.0;
   for (const auto& [key, edge] : exec_monitor_.graph().edges()) {
     if (offload.contains(key.a) != offload.contains(key.b)) {
-      weight += config_.edge_weight(edge);
+      weight += graph::EdgeWeightFn{}(edge);
     }
   }
   return weight;

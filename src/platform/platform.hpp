@@ -34,19 +34,12 @@
 #include "monitor/resource_monitor.hpp"
 #include "netsim/link.hpp"
 #include "partition/partitioner.hpp"
+#include "partition/policy.hpp"
 #include "platform/surrogate_registry.hpp"
 #include "rpc/endpoint.hpp"
 #include "vm/vm.hpp"
 
 namespace aide::platform {
-
-struct Enhancements {
-  // Execute stateless native methods where invoked (paper 5.2, "Native").
-  bool stateless_natives_local = false;
-  // Place large primitive int arrays at object granularity ("Array").
-  bool arrays_as_objects = false;
-  std::int64_t min_array_bytes = 4096;
-};
 
 // Idle-period failure detection: when the client endpoint has been quiet for
 // `idle_after` while connected and offloaded, a ping() probes the surrogate
@@ -84,15 +77,16 @@ struct DisconnectPolicy {
   SimDuration degrade_rtt = 0;
 };
 
-struct PlatformConfig {
+// The offload policy (link, surrogate speed-up, trigger, objective and the
+// paper 5.2 enhancements) is the partition::OffloadPolicy base, shared with
+// emul::EmulatorConfig; what follows is the live platform's own.
+struct PlatformConfig : partition::OffloadPolicy {
   std::int64_t client_heap = std::int64_t{6} << 20;   // paper: 6 MB Java heap
   std::int64_t surrogate_heap = std::int64_t{64} << 20;
   // Client GC cadence: frequent cycles near exhaustion give the resource
   // monitor its "frequent memory usage updates" (paper 5.1).
   std::int64_t client_gc_alloc_count_threshold = 1024;
   std::int64_t client_gc_alloc_bytes_divisor = 32;
-  double surrogate_speedup = 3.5;                     // paper-measured ratio
-  netsim::LinkParams link = netsim::LinkParams::wavelan();
 
   // Deterministic link-fault schedule; an inert plan (the default) keeps the
   // platform bit-identical to the fault-free model.
@@ -115,41 +109,14 @@ struct PlatformConfig {
   SimDuration recovery_latency = sim_ms(200);
   double recovery_bandwidth_bps = 11e6;
 
-  monitor::TriggerPolicy trigger;                     // paper: <5% free, x3
-  // Minimum client-heap fraction an acceptable partitioning must free
-  // (paper: at least 20%).
-  double min_free_fraction = 0.20;
-  partition::Objective objective = partition::Objective::free_memory;
-  double min_improvement = 0.0;  // speed_up objective margin
-
-  Enhancements enhancements;
-
-  // Run the static partition-safety analyzer (aidelint) over the registry at
-  // startup: construction throws analysis::AnalysisError on ERROR-severity
-  // findings and logs WARN findings.
+  // Startup gates, see analysis::run_startup_gates. With full effect-IR
+  // coverage the BatchSafety oracle is installed into both endpoints.
   bool static_analysis = true;
-  // Run the interprocedural effect verifier (aideverify) over the registry
-  // at startup: infers per-method summaries from the declared effect IR and
-  // audits every hand-declared annotation against them; declared-metadata
-  // drift refuses startup exactly like the static_analysis gate. When every
-  // registered method carries IR (100% coverage) the resulting
-  // BatchSafetyOracle is installed into both endpoints — a partially
-  // annotated registry still verifies, but proves nothing the transport
-  // could use, so nothing is installed.
   bool effect_verify = true;
-  // Feed the analyzer's static hints into the partitioner so the execution
-  // graph is pre-contracted before MINCUT. Off by default: the purely
-  // dynamic pipeline stays bit-identical to the paper model.
-  bool use_static_hints = false;
 
   // React to triggers automatically and revise provisional cuts; otherwise
   // only offload_now() offloads, and the cuts it makes are final.
   bool auto_offload = true;
-  // The paper's prototype "performs a single offloading from a client device
-  // to a single surrogate server".
-  std::size_t max_offloads = 1;
-
-  graph::EdgeWeightFn edge_weight;
 };
 
 struct OffloadReport {
@@ -247,17 +214,17 @@ class Platform : private vm::VmHooks {
   // The startup static-analysis report (empty when static_analysis is off).
   [[nodiscard]] const std::optional<analysis::AnalysisReport>&
   analysis_report() const noexcept {
-    return analysis_;
+    return gates_.lint;
   }
   // The startup effect-verify report (empty when effect_verify is off).
   [[nodiscard]] const std::optional<analysis::VerifyReport>& verify_report()
       const noexcept {
-    return verify_;
+    return gates_.verify;
   }
   // The batch-safety oracle serving both endpoints; null unless
   // effect_verify ran over a registry with 100% effect-IR coverage.
   [[nodiscard]] const analysis::BatchSafety* batch_safety() const noexcept {
-    return batch_safety_.has_value() ? &*batch_safety_ : nullptr;
+    return gates_.oracle();
   }
 
   [[nodiscard]] const std::vector<OffloadReport>& offloads() const noexcept {
@@ -408,10 +375,9 @@ class Platform : private vm::VmHooks {
   SimClock clock_;
   netsim::Link link_;
   std::shared_ptr<const vm::ClassRegistry> registry_;
-  std::optional<analysis::AnalysisReport> analysis_;
-  std::optional<analysis::VerifyReport> verify_;
-  // Declared before the endpoints: they hold a non-owning pointer to it.
-  std::optional<analysis::BatchSafety> batch_safety_;
+  // Declared before the endpoints: they hold a non-owning pointer to its
+  // oracle.
+  analysis::StartupGates gates_;
 
   std::unique_ptr<vm::Vm> client_;
   std::unique_ptr<vm::Vm> surrogate_;

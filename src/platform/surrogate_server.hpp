@@ -231,14 +231,14 @@ class SurrogateServer {
   [[nodiscard]] ServerStats stats() const;
   [[nodiscard]] const std::optional<analysis::AnalysisReport>&
   analysis_report() const noexcept {
-    return analysis_;
+    return gates_.lint;
   }
   [[nodiscard]] const std::optional<analysis::VerifyReport>& verify_report()
       const noexcept {
-    return verify_;
+    return gates_.verify;
   }
   [[nodiscard]] const analysis::BatchSafety* batch_safety() const noexcept {
-    return batch_safety_.has_value() ? &*batch_safety_ : nullptr;
+    return gates_.oracle();
   }
 
   // Admission control: opens a new isolated session, or returns nullptr
@@ -287,9 +287,8 @@ class SurrogateServer {
   SimClock own_clock_;
   SimClock* clock_ = &own_clock_;  // pool members point at the shared clock
   std::shared_ptr<const vm::ClassRegistry> registry_;
-  std::optional<analysis::AnalysisReport> analysis_;
-  std::optional<analysis::VerifyReport> verify_;
-  std::optional<analysis::BatchSafety> batch_safety_;
+  // Sessions' endpoints hold a non-owning pointer to its oracle.
+  analysis::StartupGates gates_;
 
   void do_close(std::size_t slot);
 

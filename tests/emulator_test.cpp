@@ -102,7 +102,7 @@ EmulatorConfig base_config() {
   cfg.trigger.low_free_threshold = 0.10;
   cfg.trigger.consecutive_reports = 2;
   cfg.min_free_fraction = 0.20;
-  cfg.charge_migration = true;
+  cfg.surrogate_speedup = 1.0;
   return cfg;
 }
 
@@ -432,14 +432,15 @@ TEST(EmulatorTest, WideSelfTimeScalesInFullOnSurrogate) {
   cfg.eval_at_fraction = 0.0;  // offload right after the alloc
   cfg.manual_offload_classes = {"Counter"};
   cfg.surrogate_speedup = 3.5;
-  cfg.charge_migration = false;
   Emulator emu(reg, cfg);
   const auto result = emu.run(b.trace());
   ASSERT_EQ(result.offloads.size(), 1u);
   EXPECT_EQ(result.base_time, wide);
   EXPECT_EQ(result.comm_time, 0);
+  EXPECT_GT(result.migration_time, 0);
   EXPECT_EQ(result.emulated_time,
-            static_cast<SimDuration>(static_cast<double>(wide) / 3.5));
+            static_cast<SimDuration>(static_cast<double>(wide) / 3.5) +
+                result.migration_time);
 }
 
 TEST(EmulatorTest, CsvLoadedTraceReplaysIdentically) {

@@ -44,7 +44,6 @@ graph::ExecGraph consumer_graph() {
 partition::PartitionRequest consumer_request(const StaticHints* hints) {
   partition::PartitionRequest req;
   req.objective = partition::Objective::free_memory;
-  req.heap_capacity = 1 << 20;
   req.min_free_bytes = 500'000;
   req.history_duration = sim_sec(10);
   req.hints = hints;

@@ -142,6 +142,7 @@ TEST(EmulatorIntegrationTest, RecordedTraceReplaysConsistently) {
   // Replay without offloading: emulated time equals recorded time.
   emul::EmulatorConfig cfg;
   cfg.max_offloads = 0;
+  cfg.surrogate_speedup = 1.0;
   cfg.heap_capacity = 64 << 20;
   emul::Emulator emu(reg, cfg);
   const auto result = emu.run(trace);

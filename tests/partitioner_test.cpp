@@ -4,8 +4,11 @@
 // not offload" decision, paper 5.2 / Biomer).
 #include <gtest/gtest.h>
 
+#include "emul/emulator.hpp"
 #include "graph/exec_graph.hpp"
 #include "partition/partitioner.hpp"
+#include "partition/policy.hpp"
+#include "platform/platform.hpp"
 
 namespace aide::partition {
 namespace {
@@ -42,7 +45,6 @@ ExecGraph sample_graph() {
 PartitionRequest memory_request(std::int64_t min_free) {
   PartitionRequest req;
   req.objective = Objective::free_memory;
-  req.heap_capacity = 1 << 20;
   req.min_free_bytes = min_free;
   req.history_duration = sim_sec(10);
   return req;
@@ -159,7 +161,6 @@ TEST(SpeedupObjectiveTest, MinImprovementRaisesTheBar) {
   req.objective = Objective::speed_up;
   req.surrogate_speedup = 3.5;
   req.history_duration = sim_sec(11);
-  req.charge_migration = false;
   const auto permissive = decide_partitioning(g, req);
   EXPECT_TRUE(permissive.offload);
 
@@ -169,22 +170,25 @@ TEST(SpeedupObjectiveTest, MinImprovementRaisesTheBar) {
 }
 
 TEST(SpeedupObjectiveTest, MigrationChargeCanFlipDecision) {
-  ExecGraph g;
-  g.set_pinned(cls(0), true);
-  g.add_self_time(cls(0), sim_ms(100));
-  g.add_self_time(cls(1), sim_ms(200));
-  g.add_memory(cls(1), 200 << 20, 1);  // enormous state to ship
-  g.set_edge(cls(0), cls(1), edge(10, 1));
+  // Offloading cls(1) saves ~140 ms of compute, before shipping its state.
+  const auto graph_with_state = [](std::int64_t bytes) {
+    ExecGraph g;
+    g.set_pinned(cls(0), true);
+    g.add_self_time(cls(0), sim_ms(100));
+    g.add_self_time(cls(1), sim_ms(200));
+    g.add_memory(cls(1), bytes, 1);
+    g.set_edge(cls(0), cls(1), edge(10, 1));
+    return g;
+  };
 
   PartitionRequest req;
   req.objective = Objective::speed_up;
   req.surrogate_speedup = 3.5;
   req.history_duration = sim_ms(300);
 
-  req.charge_migration = true;
-  EXPECT_FALSE(decide_partitioning(g, req).offload);
-  req.charge_migration = false;
-  EXPECT_TRUE(decide_partitioning(g, req).offload);
+  // 20 KB ships in ~15 ms; 200 MB would take ~150 s.
+  EXPECT_TRUE(decide_partitioning(graph_with_state(20 << 10), req).offload);
+  EXPECT_FALSE(decide_partitioning(graph_with_state(200 << 20), req).offload);
 }
 
 TEST(PredictionHelpersTest, CommTimeMatchesLinkModel) {
@@ -201,9 +205,62 @@ TEST(PredictionHelpersTest, OffloadTimeScalesWithSpeedup) {
   PartitionRequest req;
   req.objective = Objective::speed_up;
   req.surrogate_speedup = 3.5;
-  req.charge_migration = false;
   const auto t = predicted_offload_time(cand, sim_sec(35), req);
-  EXPECT_EQ(t, sim_sec(10));
+  // Shipping no state still costs one null round trip.
+  EXPECT_EQ(t, sim_sec(10) + sim_us(2400));
+}
+
+// The live platform and the emulator build every partition request through
+// OffloadPolicy::request; check it field by field.
+TEST(OffloadPolicyTest, RequestCarriesThePolicy) {
+  OffloadPolicy policy;
+  policy.objective = Objective::speed_up;
+  policy.min_free_fraction = 0.25;
+  policy.min_improvement = 0.10;
+  policy.surrogate_speedup = 2.5;
+  policy.link = netsim::LinkParams::cellular();
+
+  const auto req = policy.request(4'000'000, sim_sec(7));
+  EXPECT_EQ(req.min_free_bytes, 1'000'000);  // 0.25 x 4 MB
+  EXPECT_EQ(req.history_duration, sim_sec(7));
+  EXPECT_EQ(req.objective, Objective::speed_up);
+  EXPECT_DOUBLE_EQ(req.surrogate_speedup, 2.5);
+  EXPECT_DOUBLE_EQ(req.min_improvement, 0.10);
+  EXPECT_EQ(req.link, netsim::LinkParams::cellular());
+  // Only the platform adds gravity; hints are never part of the policy.
+  EXPECT_EQ(req.hints, nullptr);
+  EXPECT_EQ(req.reoffload_gravity, nullptr);
+
+  // A forced offload's override replaces the fraction-of-heap bound.
+  EXPECT_EQ(policy.request(4'000'000, sim_sec(7), 1).min_free_bytes, 1);
+  // An empty history still has a positive duration.
+  EXPECT_EQ(policy.request(4'000'000, 0).history_duration, 1);
+  EXPECT_EQ(policy.request(4'000'000, -5).history_duration, 1);
+}
+
+TEST(OffloadPolicyTest, GranularityCarriesTheArrayEnhancement) {
+  OffloadPolicy policy;
+  policy.arrays_as_objects = true;
+  policy.min_array_bytes = 8192;
+  const auto g = policy.granularity(ClassId{9});
+  EXPECT_TRUE(g.arrays_as_objects);
+  EXPECT_EQ(g.min_array_bytes, 8192);
+  EXPECT_EQ(g.object_granularity_classes, std::vector<ClassId>{ClassId{9}});
+}
+
+// One default policy for both models: the paper's 3.5x surrogate, WaveLAN,
+// <5% free x3, free_memory with 20%, one offload, no enhancements.
+TEST(OffloadPolicyTest, LiveAndEmulatedDefaultsAgree) {
+  const platform::PlatformConfig live_cfg;
+  const emul::EmulatorConfig emulated_cfg;
+  const OffloadPolicy& live = live_cfg;
+  const OffloadPolicy& emulated = emulated_cfg;
+  EXPECT_EQ(live, emulated);
+  EXPECT_EQ(live, OffloadPolicy{});
+  EXPECT_DOUBLE_EQ(emulated.surrogate_speedup, 3.5);
+  EXPECT_EQ(emulated.link, netsim::LinkParams::wavelan());
+  EXPECT_EQ(emulated.max_offloads, 1u);
+  EXPECT_DOUBLE_EQ(emulated.min_free_fraction, 0.20);
 }
 
 TEST(DecisionTest, ComputeTimeIsMeasured) {

@@ -142,7 +142,7 @@ TEST(PlatformTest, MaxOffloadsLimitsAutomaticTriggers) {
 
 TEST(PlatformTest, EnhancementFlagsReachVms) {
   auto cfg = small_config();
-  cfg.enhancements.stateless_natives_local = true;
+  cfg.stateless_natives_local = true;
   Platform p(make_test_registry(), cfg);
   EXPECT_TRUE(p.client().config().stateless_natives_local);
   EXPECT_TRUE(p.surrogate().config().stateless_natives_local);
